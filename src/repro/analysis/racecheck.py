@@ -374,8 +374,8 @@ def install() -> _InstallHandle:
     sim_init = Simulator.__init__
     handle = _InstallHandle(sim_init=sim_init, machine_inits=[], checkers=[])
 
-    def racechecked_sim_init(self, *args, **kwargs) -> None:
-        sim_init(self, *args, **kwargs)
+    def racechecked_sim_init(self) -> None:
+        sim_init(self)
         handle.checkers.append(RaceChecker(self))
 
     Simulator.__init__ = racechecked_sim_init

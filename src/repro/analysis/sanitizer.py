@@ -542,42 +542,22 @@ class SimSanitizer:
             )
 
     def _audit_heap(self) -> None:
-        """Event accounting across both scheduler tiers.
+        """Event accounting: every heap slot holds either a live event
+        (``_pending``) or a cancelled one not yet skipped or compacted away
+        (``_cancelled``), so at all times::
 
-        ``_pending`` counts live events wherever they sit; ``_cancelled``
-        counts cancelled entries still occupying *heap* slots (wheel
-        zombies are purged at flush/cascade and never enter the heap or
-        its compaction accounting).  So at all times::
+            pending + cancelled == len(heap)
 
-            pending + cancelled == len(heap) + wheel.count
-
-        and the wheel's live-resident counter must match a bucket walk —
-        an entry migrating between wheel levels (cascade) or tiers
-        (flush) that double-counted or leaked would break one of these.
+        A cancel or a skip that double-counted or leaked breaks it.
         """
         sim = self.sim
         if sim._pending < 0:
             raise InvariantViolation("event heap pending count went negative")
-        wheel = sim.wheel
-        wheel_count = wheel.count if wheel is not None else 0
-        if sim._pending + sim._cancelled != len(sim._heap) + wheel_count:
+        if sim._pending + sim._cancelled != len(sim._heap):
             raise InvariantViolation(
-                f"event accounting broken across tiers: pending={sim._pending} "
-                f"+ cancelled={sim._cancelled} != heap size {len(sim._heap)} "
-                f"+ wheel count {wheel_count}"
+                f"event heap accounting broken: pending={sim._pending} "
+                f"+ cancelled={sim._cancelled} != heap size {len(sim._heap)}"
             )
-        if wheel is not None:
-            if wheel_count < 0:
-                raise InvariantViolation(
-                    f"timer wheel live count went negative ({wheel_count})"
-                )
-            resident = wheel.resident_live()
-            if resident != wheel_count:
-                raise InvariantViolation(
-                    f"timer wheel accounting broken: count={wheel_count} but "
-                    f"bucket walk finds {resident} live resident entries "
-                    f"(cancel double-count or lost cascade migration)"
-                )
 
     def _audit_ring(self, nic) -> None:
         posted_segments = dropped_segments = open_lro = 0
@@ -753,8 +733,8 @@ def install(deep_every: int = DEEP_AUDIT_INTERVAL) -> _InstallHandle:
     sim_init = Simulator.__init__
     handle = _InstallHandle(sim_init=sim_init)
 
-    def sanitized_sim_init(self, *args, **kwargs) -> None:
-        sim_init(self, *args, **kwargs)
+    def sanitized_sim_init(self) -> None:
+        sim_init(self)
         handle.sanitizers.append(SimSanitizer(self, deep_every=deep_every))
 
     Simulator.__init__ = sanitized_sim_init

@@ -30,7 +30,6 @@ Safety:
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from repro.net.packet import Packet
@@ -45,12 +44,7 @@ class PacketSlab:
 
     __slots__ = ("capacity", "free", "recycled", "released", "refused", "overflow", "misses")
 
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is None:
-            # Large-working-set sweeps (zero-copy rigs pinning many pages)
-            # can outrun the default freelist; REPRO_SLAB_CAP resizes it
-            # without touching rig code.
-            capacity = int(os.environ.get("REPRO_SLAB_CAP", "8192"))
+    def __init__(self, capacity: int = 8192):
         self.capacity = capacity
         #: The freelist proper.  ``PacketTemplate.make`` pops from here.
         self.free: List[Packet] = []

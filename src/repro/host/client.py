@@ -15,7 +15,6 @@ from repro.net.flow import FlowKey
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
-from repro.sim.timers import SimTimers
 from repro.tcp.connection import AckEvent, TcpConfig, TcpConnection
 from repro.tcp.socket import TcpSocket
 
@@ -27,7 +26,6 @@ class ClientHost:
         self.sim = sim
         self.ip = ip
         self.name = name
-        self.timers = SimTimers(sim)
         self.tx_link: Optional[Link] = None
         #: Shared per-rig :class:`~repro.buffers.slab.PacketSlab` (set by the
         #: receiver machine's ``add_client``); None disables recycling.
@@ -68,7 +66,7 @@ class ClientHost:
             key=key,
             config=config or TcpConfig(),
             clock=lambda: self.sim.now,
-            timers=self.timers,
+            timers=self.sim,
             transport=self,
             iss=self._next_iss(),
             name=f"{self.name}:{key.src_port}",
@@ -111,7 +109,7 @@ class ClientHost:
                 key=key,
                 config=TcpConfig(),
                 clock=lambda: self.sim.now,
-                timers=self.timers,
+                timers=self.sim,
                 transport=self,
                 iss=self._next_iss(),
                 name=f"{self.name}:accept:{key.src_port}",

@@ -13,7 +13,6 @@ the machine therefore always has exactly one costed CPU.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from repro.buffers.pool import BufferPool
@@ -70,10 +69,7 @@ class ReceiverMachine:
         #: Rig-wide packet freelist: dead length-only packets (data segments
         #: freed with their skb, ACKs finished at the clients) are re-stamped
         #: by connection templates instead of reallocated.
-        #: ``REPRO_NO_SLAB=1`` disables it (A/B baseline).
-        self.packet_slab: Optional[PacketSlab] = (
-            None if os.environ.get("REPRO_NO_SLAB") == "1" else PacketSlab()
-        )
+        self.packet_slab: Optional[PacketSlab] = PacketSlab()
         self.pool.slab = self.packet_slab
         self.kernel = Kernel(sim, self.cpu, config, opt, pool=self.pool, name=name)
         self.kernel.packet_slab = self.packet_slab

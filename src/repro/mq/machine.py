@@ -17,7 +17,6 @@ charged mechanistically by :class:`~repro.mq.costs.CrossCpuCostModel`
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple, Union
 
 from repro.buffers.pool import BufferPool
@@ -58,6 +57,13 @@ class MqReceiverMachine:
     ):
         if queues < 1:
             raise ValueError("MqReceiverMachine needs at least one queue")
+        if config.nic_lro and (opt.auto_degrade or opt.repair is not None):
+            knob = "repair" if opt.repair is not None else "auto_degrade"
+            raise ValueError(
+                "hardware LRO (SystemConfig.nic_lro) cannot be combined with "
+                f"OptimizationConfig.{knob} on the multi-queue rig — its LRO "
+                "engines have no governor"
+            )
         self.sim = sim
         self.config = config
         self.opt = opt
@@ -81,9 +87,7 @@ class MqReceiverMachine:
         ]
         self.pool = BufferPool(name=f"{name}-skb")
         #: Rig-wide packet freelist (see ReceiverMachine.packet_slab).
-        self.packet_slab = (
-            None if os.environ.get("REPRO_NO_SLAB") == "1" else PacketSlab()
-        )
+        self.packet_slab = PacketSlab()
         self.pool.slab = self.packet_slab
         self.kernel = MqKernel(
             sim,

@@ -58,6 +58,16 @@ class XenReceiverMachine:
                 "the Xen pipeline — its grant-copy data path never touches "
                 "DDIO ways; use mem=None"
             )
+        if config.nic_lro:
+            raise ValueError(
+                "hardware LRO (SystemConfig.nic_lro) is not modelled for the "
+                "Xen pipeline — its NICs are built without an LRO engine"
+            )
+        if opt.repair is not None:
+            raise ValueError(
+                "reorder repair (OptimizationConfig.repair) is not modelled "
+                "for the Xen pipeline — its drivers have no repair stage"
+            )
         self.sim = sim
         self.config = config
         self.opt = opt

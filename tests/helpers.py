@@ -8,7 +8,6 @@ from repro.net.addresses import ip_from_str
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.timers import SimTimers
 from repro.tcp.connection import AckEvent, TcpConfig, TcpConnection
 from repro.tcp.socket import TcpSocket
 
@@ -46,11 +45,10 @@ def make_pair(sim: Simulator, config_a: Optional[TcpConfig] = None, config_b: Op
     """Two connected endpoints (A actively opened to B) with app sockets."""
     config_a = config_a or TcpConfig(materialize_payload=True)
     config_b = config_b or TcpConfig(materialize_payload=True)
-    timers = SimTimers(sim)
     ta, tb = DirectTransport(sim), DirectTransport(sim)
     key_a = FlowKey(IP_A, 10000, IP_B, 80)
-    conn_a = TcpConnection(key_a, config_a, lambda: sim.now, timers, ta, iss=1000, name="A")
-    conn_b = TcpConnection(key_a.reverse(), config_b, lambda: sim.now, timers, tb, iss=9000, name="B")
+    conn_a = TcpConnection(key_a, config_a, lambda: sim.now, sim, ta, iss=1000, name="A")
+    conn_b = TcpConnection(key_a.reverse(), config_b, lambda: sim.now, sim, tb, iss=9000, name="B")
     ta.peer, tb.peer = conn_b, conn_a
     sock_a, sock_b = TcpSocket(conn_a), TcpSocket(conn_b)
     conn_b.passive_open()

@@ -9,7 +9,6 @@ from repro.net.checksum import checksums_equivalent
 from repro.net.flow import FlowKey
 from repro.net.tcp_header import TcpFlags
 from repro.sim.engine import Simulator
-from repro.sim.timers import SimTimers
 from repro.tcp.connection import AckEvent, TcpConfig, TcpConnection
 
 SERVER = ip_from_str("10.0.0.1")
@@ -26,7 +25,7 @@ class _NullTransport:
 
 def make_conn(sim):
     key = FlowKey(SERVER, 5001, CLIENT, 10000)
-    conn = TcpConnection(key, TcpConfig(), lambda: sim.now, SimTimers(sim), _NullTransport(), iss=500)
+    conn = TcpConnection(key, TcpConfig(), lambda: sim.now, sim, _NullTransport(), iss=500)
     conn.state = conn.state.ESTABLISHED
     conn.rcv_nxt = 1000
     return conn
@@ -120,7 +119,7 @@ def test_connection_batches_consecutive_acks_into_one_event(sim):
 
     key = FlowKey(SERVER, 5001, CLIENT, 10000)
     conn = TcpConnection(
-        key, TcpConfig(aggregation_aware=True), lambda: sim.now, SimTimers(sim), Recorder(), iss=500
+        key, TcpConfig(aggregation_aware=True), lambda: sim.now, sim, Recorder(), iss=500
     )
     conn.state = conn.state.ESTABLISHED
     conn.rcv_nxt = 1000

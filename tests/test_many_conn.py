@@ -86,7 +86,7 @@ def test_batching_halves_events_with_bounded_timing_skew():
 
 
 def test_sanitized_many_conn_run():
-    """The full scale rig — wheel, slab, batching — under the runtime
+    """The full scale rig — slab, batching, timer churn — under the runtime
     sanitizer's conservation and reuse-after-free audits."""
     from repro.analysis import sanitizer as sanitizer_mod
 

@@ -394,13 +394,6 @@ class TestSlabSatellites:
         from repro.buffers.slab import PacketSlab
 
         assert PacketSlab(capacity=17).capacity == 17
-
-    def test_capacity_env_override(self, monkeypatch):
-        from repro.buffers.slab import PacketSlab
-
-        monkeypatch.setenv("REPRO_SLAB_CAP", "123")
-        assert PacketSlab().capacity == 123
-        monkeypatch.delenv("REPRO_SLAB_CAP")
         assert PacketSlab().capacity == 8192
 
     def test_miss_counter_counts_empty_freelist_acquires(self):

@@ -10,7 +10,6 @@ from repro.net.addresses import ip_from_str
 from repro.net.flow import FlowKey
 from repro.net.packet import make_data_segment
 from repro.sim.engine import Simulator
-from repro.sim.timers import SimTimers
 from repro.tcp.connection import TcpConfig, TcpConnection
 from repro.tcp.reno import RenoState
 from repro.tcp.state import TcpState
@@ -37,7 +36,7 @@ def make_established(sim, aggregation_aware):
     transport = _Recorder()
     conn = TcpConnection(
         key, TcpConfig(aggregation_aware=aggregation_aware),
-        lambda: sim.now, SimTimers(sim), transport, iss=500,
+        lambda: sim.now, sim, transport, iss=500,
     )
     conn.state = TcpState.ESTABLISHED
     conn.rcv_nxt = 1000

@@ -7,6 +7,8 @@ CPU-bound, the RSS-vs-aRFS cross-CPU cost story, and the sanitizer's
 multi-queue audits (including the same-flow-same-queue invariant).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import OptimizationConfig
@@ -49,6 +51,18 @@ def run_mq_transfer(opt, queues=2, steering="rss", nbytes=200_000, n_conns=4,
         sock.conn.attach_source(InfiniteSource(materialize=True, seed=seed + j, limit_bytes=nbytes))
     sim.run(until=until)
     return machine, received
+
+
+@pytest.mark.parametrize("knob,opt", [
+    ("auto_degrade", OptimizationConfig.optimized(auto_degrade=True)),
+    ("repair", OptimizationConfig.resilient(repair=True)),
+], ids=["auto_degrade", "repair"])
+def test_nic_lro_with_ungoverned_knob_rejected(knob, opt):
+    """The mq LRO engines have no governor, so neither knob could gate
+    hardware LRO: the combination must fail loudly."""
+    config = dataclasses.replace(fast_config(n_nics=1), nic_lro=True)
+    with pytest.raises(ValueError, match=knob):
+        MqReceiverMachine(Simulator(), config, opt, queues=2)
 
 
 @pytest.mark.parametrize("steering", ["rss", "arfs"])

@@ -1,9 +1,5 @@
 """Tests for the packet slab (freelist recycling of wire packets)."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from repro.buffers.slab import PacketSlab, SlabViolation
@@ -129,33 +125,8 @@ def test_copy_clears_slab_flag():
 # end-to-end: recycling must be invisible to the simulation
 # ----------------------------------------------------------------------
 
-def test_stream_experiment_identical_with_and_without_slab():
-    """REPRO_NO_SLAB=1 is the A/B kill switch: with it set, the same
-    workload must produce bit-identical results — the slab only changes
-    allocator traffic, never behavior.  (Run in a subprocess because the
-    switch is read at machine construction via the environment.)"""
-    code = (
-        "from repro.core.config import OptimizationConfig\n"
-        "from repro.host.configs import linux_up_config\n"
-        "from repro.workloads.stream import run_stream_experiment\n"
-        "r = run_stream_experiment(linux_up_config(),"
-        " OptimizationConfig.optimized(), duration=0.01, warmup=0.005)\n"
-        "print(r.events_fired, r.network_packets, repr(r.throughput_mbps))\n"
-    )
-    env = dict(os.environ, PYTHONPATH="src")
-    with_slab = subprocess.run(
-        [sys.executable, "-c", code], env={**env, "REPRO_NO_SLAB": "0"},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    without = subprocess.run(
-        [sys.executable, "-c", code], env={**env, "REPRO_NO_SLAB": "1"},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert with_slab == without
-    assert with_slab.strip()
-
-
-def test_stream_rig_actually_recycles():
+def _stream_run():
+    """Run the UP-optimized stream rig; return its slab and a fingerprint."""
     from repro.core.config import OptimizationConfig
     from repro.host.configs import linux_up_config
     from repro.workloads.stream import build_stream_rig
@@ -163,8 +134,23 @@ def test_stream_rig_actually_recycles():
     sim, machine, clients, senders = build_stream_rig(
         linux_up_config(), OptimizationConfig.optimized()
     )
-    if machine.packet_slab is None:
-        pytest.skip("slab disabled via REPRO_NO_SLAB")
-    sim.run(until=0.01)
-    assert machine.packet_slab.allocations_saved > 0
-    assert machine.packet_slab.refused == 0
+    sim.run(until=0.015)
+    delivered = sum(s.bytes_received for s in machine.kernel.sockets.values())
+    return machine.packet_slab, (sim.events_fired, delivered)
+
+
+def test_stream_experiment_identical_with_and_without_slab(monkeypatch):
+    """With the slab disconnected (the rig built with ``packet_slab =
+    None``) the same workload must produce bit-identical results — the
+    slab only changes allocator traffic, never behavior."""
+    _, with_slab = _stream_run()
+    monkeypatch.setattr("repro.host.machine.PacketSlab", lambda: None)
+    slab, without = _stream_run()
+    assert slab is None
+    assert with_slab == without
+
+
+def test_stream_rig_actually_recycles():
+    slab, _ = _stream_run()
+    assert slab.allocations_saved > 0
+    assert slab.refused == 0

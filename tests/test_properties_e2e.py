@@ -23,7 +23,6 @@ from repro.net.flow import FlowKey
 from repro.net.packet import make_data_segment
 from repro.net.tcp_header import TcpFlags
 from repro.sim.engine import Simulator
-from repro.sim.timers import SimTimers
 from repro.tcp.connection import TcpConfig, TcpConnection
 from repro.tcp.state import TcpState
 
@@ -47,7 +46,7 @@ def _make_conn(sim, flow, aware):
     transport = _AckRecorder()
     conn = TcpConnection(
         flow.reverse(), TcpConfig(mss=MSS, aggregation_aware=aware),
-        lambda: sim.now, SimTimers(sim), transport, iss=500,
+        lambda: sim.now, sim, transport, iss=500,
     )
     conn.state = TcpState.ESTABLISHED
     conn.rcv_nxt = 0

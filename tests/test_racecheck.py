@@ -91,7 +91,7 @@ class TestAfterEventHooks:
         calls = []
         hook = lambda: calls.append("a")  # noqa: E731
         sim.push_after_event_hook(hook)
-        sim.set_after_event_hook(hook)  # historical alias
+        sim.push_after_event_hook(hook)
         sim.post(0.0, lambda: None)
         sim.run()
         assert calls == ["a"]
@@ -231,11 +231,6 @@ class TestInstall:
         handle = racecheck.install()
         assert racecheck.install() is handle
         racecheck.uninstall(handle)
-
-    def test_simulator_args_forwarded_through_patch(self):
-        racecheck.install()
-        assert Simulator(use_wheel=False)._wheel is None
-        assert Simulator(use_wheel=True)._wheel is not None
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -48,6 +50,8 @@ def test_cancel_is_idempotent(sim):
     ev = sim.schedule(1e-3, lambda: None)
     ev.cancel()
     ev.cancel()
+    assert sim.pending == 0
+    assert sim._cancelled == len(sim._heap) == 1
     sim.run()
 
 
@@ -207,3 +211,83 @@ def test_compaction_during_run_preserves_order(sim):
     sim.run()
     assert order == ["cancel", "after"]
     assert sim.pending == 0
+
+
+def test_rto_rearm_churn_keeps_heap_bounded(sim):
+    """TCP's RTO pattern: every segment arrival cancels the pending timer
+    and arms a new one.  Lazy cancellation plus compaction must keep the
+    heap within ``2 * pending + 64`` entries after every re-arm, however
+    long the churn runs."""
+    n_timers, rounds = 500, 200
+    timers = [None] * n_timers
+    remaining = [rounds] * n_timers
+
+    def arrival(i):
+        if timers[i] is not None:
+            timers[i].cancel()
+        timers[i] = sim.schedule(0.200, fire, i)
+        assert len(sim._heap) <= 2 * sim.pending + 64
+        remaining[i] -= 1
+        if remaining[i] > 0:
+            sim.post(61e-6, arrival, i)
+
+    def fire(i):
+        timers[i] = None
+
+    for i in range(n_timers):
+        sim.post(i * 1e-7, arrival, i)
+    sim.run()
+    assert sim.events_fired == 100_500  # every arrival + one RTO per timer
+    assert sim.pending == 0
+
+
+@pytest.mark.parametrize("seed", [1, 20260808, 424242])
+def test_random_schedule_cancel_fires_in_time_then_schedule_order(sim, seed):
+    """A seeded script schedules at equal, near and far delays, cancels
+    random handles (some already fired), and schedules from inside
+    callbacks.
+    Every live event must fire exactly once, every cancelled one never,
+    in (time, scheduling order) — through any number of compactions."""
+    rng = random.Random(seed)
+    fired = []
+    times = []
+    cancelled = set()
+    live = []
+
+    compactions = []
+    compact = sim._compact
+
+    def counting_compact():
+        compactions.append(sim.now)
+        compact()
+
+    sim._compact = counting_compact
+
+    def cb(i):
+        fired.append(i)
+
+    def driver(round_no):
+        for _ in range(8):
+            if rng.random() < 0.6 or not live:
+                delay = rng.choice([
+                    rng.randrange(4) * 1e-4,  # same-time ties within a round
+                    rng.uniform(0.0, 2.5e-4),
+                    rng.uniform(0.0, 0.5),
+                ])
+                i = len(times)
+                times.append(sim.now + delay)
+                live.append((i, sim.schedule(delay, cb, i)))
+            else:
+                i, ev = live.pop(rng.randrange(len(live)))
+                if not ev._fired:
+                    cancelled.add(i)
+                ev.cancel()
+        if round_no > 0:
+            sim.schedule(rng.uniform(0.0, 2e-3), driver, round_no - 1)
+
+    driver(120)
+    sim.run()
+    assert sorted(fired) == [i for i in range(len(times)) if i not in cancelled]
+    assert fired == sorted(fired, key=lambda i: (times[i], i))
+    assert len(fired) > 250
+    assert compactions

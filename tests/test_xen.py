@@ -41,6 +41,18 @@ def test_native_config_rejected():
         XenReceiverMachine(Simulator(), linux_up_config(), OptimizationConfig.baseline())
 
 
+@pytest.mark.parametrize("knob,config,opt", [
+    ("nic_lro", dataclasses.replace(fast_xen_config(), nic_lro=True),
+     OptimizationConfig.baseline()),
+    ("repair", fast_xen_config(), OptimizationConfig.resilient(repair=True)),
+], ids=["nic_lro", "repair"])
+def test_unmodelled_knob_rejected(knob, config, opt):
+    """The Xen NICs have no LRO engine and its drivers no repair stage:
+    asking for either must fail loudly, not run without it."""
+    with pytest.raises(ValueError, match=knob):
+        XenReceiverMachine(Simulator(), config, opt)
+
+
 def test_xen_transfer_integrity_baseline():
     machine, sock = run_xen_transfer(OptimizationConfig.baseline())
     assert sock.bytes_received == 150_000
