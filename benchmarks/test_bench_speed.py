@@ -17,9 +17,9 @@ from repro.analysis.speed import (
     append_history,
     format_speed_report,
     measure_figure07_speed,
-    measure_many_conn_speed,
     measure_obs_overhead,
     measure_racecheck_overhead,
+    measure_scale_points,
     measure_slab_savings,
     measure_zerocopy_speed,
 )
@@ -152,22 +152,17 @@ def test_many_connection_speed(benchmark):
     timer churn, slab recycling, and batched link delivery all in play —
     where the classic Figure 7 mix only exercises up to 4 streams.  The
     workload is fully seeded, so ``events_fired`` / ``transactions`` /
-    ``allocations_saved`` are deterministic; wall figures carry the perf
-    trajectory.  Written into BENCH_speed.json under ``"scale"``.
+    ``allocations_saved`` / ``objects_per_endpoint`` are deterministic;
+    wall figures carry the perf trajectory.  Written into BENCH_speed.json
+    under ``"scale"``.
     """
-
-    def run_points():
-        return {
-            "1k": measure_many_conn_speed(1000),
-            "10k": measure_many_conn_speed(10_000),
-        }
-
-    scale = benchmark.pedantic(run_points, rounds=1, iterations=1)
+    scale = benchmark.pedantic(measure_scale_points, rounds=1, iterations=1)
     for name, p in scale.items():
         print(
             f"\nscale {name}: wall={p['wall_s']:.2f}s "
             f"events={p['events_fired']:,} ({p['events_per_sec']:,.0f}/s) "
-            f"tx={p['transactions']} slab_saved={p['allocations_saved']:,}"
+            f"tx={p['transactions']} slab_saved={p['allocations_saved']:,} "
+            f"objects/endpoint={p['objects_per_endpoint']:.2f}"
         )
         benchmark.extra_info[f"{name}_events_per_sec"] = round(p["events_per_sec"])
         # The slab must actually be recycling at scale, and the seeded

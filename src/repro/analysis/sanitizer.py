@@ -48,7 +48,7 @@ the sanitizer is a debugging and CI tool, not a default.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.ack_offload import expand_template
 from repro.net.checksum import checksums_equivalent
@@ -96,6 +96,8 @@ class SimSanitizer:
         self.deep_every = deep_every
         self.stats = SanitizerStats()
         self.machines: List[object] = []
+        #: Per connection, the (snd_una, rcv_nxt) it had at its last check.
+        self._conn_snaps: Dict[object, Tuple[int, int]] = {}
         self._last_now = sim.now
         sim.push_after_event_hook(self._after_event)
 
@@ -168,7 +170,7 @@ class SimSanitizer:
         self.stats.connection_checks += 1
         name = getattr(conn, "name", repr(conn))
 
-        snap = getattr(conn, "_sanitizer_snap", None)
+        snap = self._conn_snaps.get(conn)
         if snap is not None:
             prev_una, prev_nxt = snap
             if not _seq_le(prev_una, conn.snd_una):
@@ -180,7 +182,7 @@ class SimSanitizer:
                 raise InvariantViolation(
                     f"{name}: rcv_nxt regressed {prev_nxt} -> {conn.rcv_nxt}"
                 )
-        conn._sanitizer_snap = (conn.snd_una, conn.rcv_nxt)
+        self._conn_snaps[conn] = (conn.snd_una, conn.rcv_nxt)
 
         if not _seq_le(conn.snd_una, conn.snd_nxt):
             raise InvariantViolation(

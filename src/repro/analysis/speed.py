@@ -18,7 +18,9 @@ Run as a module for the perf-regression observatory::
     python -m repro.analysis.speed            # measure + print the report
     python -m repro.analysis.speed --record   # append to BENCH_history.json
     python -m repro.analysis.speed --compare  # per-point deltas vs the last
-                                              # recorded history entry
+                                              # recorded history entry, and
+                                              # the 1k/10k scale points vs
+                                              # BENCH_speed.json
 
 ``BENCH_history.json`` accumulates one entry per recording (git SHA +
 per-point events/sec), so a perf regression shows up as a per-point delta
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 # simlint: file-allow(wall-clock) -- measuring the simulator's wall speed is
 # this module's entire purpose; nothing here feeds back into simulation state.
+import gc
 import json
 import subprocess
 import time
@@ -251,11 +254,13 @@ def measure_many_conn_speed(
 ) -> Dict[str, object]:
     """Time the many-connection scale workload (1k/10k BENCH points).
 
-    Reports wall seconds, fired events, per-point ``events_per_sec``, and
-    the slab's ``allocations_saved`` counter.  The workload (population,
-    elephant/mice mix, Poisson churn) is fully seeded, so ``events_fired``,
-    ``transactions``, and ``allocations_saved`` are deterministic; only the
-    wall figures vary run to run.
+    Reports wall seconds, fired events, per-point ``events_per_sec``, the
+    slab's ``allocations_saved`` counter, and ``objects_per_endpoint`` (see
+    :func:`many_conn_footprint`, measured in a second, untimed run).  The
+    workload (population, elephant/mice mix, Poisson churn) is fully
+    seeded, so ``events_fired``, ``transactions``, ``allocations_saved``
+    and ``objects_per_endpoint`` are deterministic; only the wall figures
+    vary run to run.
     """
     from repro.workloads.many import ManyConnWorkload, run_many_connection_experiment
 
@@ -282,6 +287,42 @@ def measure_many_conn_speed(
         "connections_opened": result.connections_opened,
         "connections_closed": result.connections_closed,
         "allocations_saved": result.allocations_saved,
+        "objects_per_endpoint": many_conn_footprint(
+            n_connections, warmup + duration, arrival_rate_hz
+        )[0],
+    }
+
+
+def many_conn_footprint(n_connections: int, until: float, arrival_rate_hz: float = 2000.0):
+    """Run the UP-optimized many-connection rig to ``until`` simulated
+    seconds; return the GC-tracked objects it holds per connection
+    endpoint, and the rig ``(sim, machine, clients, driver)``.
+
+    The count is the change in ``len(gc.get_objects())`` across building
+    and running the rig, each taken after a full collection, divided by
+    the connection endpoints (both ends) alive at the end.  It is what the
+    cyclic collector's full passes scan per endpoint.
+    """
+    from repro.workloads.many import ManyConnWorkload, build_many_connection_rig
+
+    wl = ManyConnWorkload(n_connections=n_connections, arrival_rate_hz=arrival_rate_hz)
+    gc.collect()
+    before = len(gc.get_objects())
+    rig = build_many_connection_rig(linux_up_config(), OptimizationConfig.optimized(), wl)
+    sim, machine, clients, driver = rig
+    driver.start()
+    sim.run(until=until)
+    gc.collect()
+    endpoints = len(machine.kernel.connections) + sum(len(c.connections) for c in clients)
+    return (len(gc.get_objects()) - before) / endpoints, rig
+
+
+def measure_scale_points() -> Dict[str, Dict[str, object]]:
+    """The 1k and 10k many-connection points of BENCH_speed.json's
+    ``scale`` section."""
+    return {
+        "1k": measure_many_conn_speed(1000),
+        "10k": measure_many_conn_speed(10_000),
     }
 
 
@@ -389,6 +430,7 @@ def format_speed_report(report: Dict[str, object]) -> str:
 # ----------------------------------------------------------------------
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 DEFAULT_HISTORY = _REPO_ROOT / "BENCH_history.json"
+DEFAULT_BENCH = _REPO_ROOT / "BENCH_speed.json"
 
 
 def _git_sha() -> str:
@@ -475,6 +517,43 @@ def format_compare(rows: List[dict], baseline_sha: str) -> str:
     return "\n".join(lines)
 
 
+def compare_scale(baseline: Dict[str, dict], current: Dict[str, dict]) -> List[dict]:
+    """Scale-point deltas, keyed by point name ("1k", "10k").
+
+    Both compared figures are deterministic: a changed ``events_fired`` is
+    a semantic change, a changed ``objects_per_endpoint`` a change in how
+    much state each connection keeps.
+    """
+    rows = []
+    for name, p in current.items():
+        b = baseline.get(name)
+        rows.append({
+            "point": name,
+            "events_fired": p["events_fired"],
+            "events_fired_changed": b is not None and p["events_fired"] != b["events_fired"],
+            "objects_per_endpoint": p["objects_per_endpoint"],
+            "baseline_objects_per_endpoint": (
+                b.get("objects_per_endpoint") if b is not None else None
+            ),
+        })
+    return rows
+
+
+def format_scale_compare(rows: List[dict]) -> str:
+    lines = ["scale points vs BENCH_speed.json:"]
+    for row in rows:
+        base = row["baseline_objects_per_endpoint"]
+        delta = "(no baseline)" if base is None else (
+            f"{row['objects_per_endpoint'] - base:+.2f} vs {base:.2f}"
+        )
+        note = "  [events_fired CHANGED]" if row["events_fired_changed"] else ""
+        lines.append(
+            f"  many-conn {row['point']:<4} {row['events_fired']:>9,} events  "
+            f"{row['objects_per_endpoint']:6.2f} objects/endpoint {delta}{note}"
+        )
+    return "\n".join(lines)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
@@ -509,6 +588,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             rows = compare_points(last["points"], report["points"])
             print()
             print(format_compare(rows, last.get("sha", "unknown")))
+        bench = json.loads(DEFAULT_BENCH.read_text()) if DEFAULT_BENCH.exists() else {}
+        print()
+        print(format_scale_compare(compare_scale(bench.get("scale", {}), measure_scale_points())))
     if args.record:
         entry = append_history(report, path)
         print(f"\nrecorded {entry['sha'][:12]} in {path} "

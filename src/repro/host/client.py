@@ -34,6 +34,9 @@ class ClientHost:
         self.listeners: Dict[int, Callable[[TcpConnection], TcpSocket]] = {}
         self._next_port = 10000
         self._iss = iss_base
+        #: Shared by every connection this host opens or accepts.
+        self._clock = lambda: sim.now
+        self._tcp_config = TcpConfig()
 
     # ------------------------------------------------------------------
     # wiring
@@ -64,8 +67,8 @@ class ClientHost:
         key = FlowKey(self.ip, src_port or self.allocate_port(), dst_ip, dst_port)
         conn = TcpConnection(
             key=key,
-            config=config or TcpConfig(),
-            clock=lambda: self.sim.now,
+            config=config or self._tcp_config,
+            clock=self._clock,
             timers=self.sim,
             transport=self,
             iss=self._next_iss(),
@@ -107,8 +110,8 @@ class ClientHost:
                 return  # no listener: silently drop (no RST generation)
             conn = TcpConnection(
                 key=key,
-                config=TcpConfig(),
-                clock=lambda: self.sim.now,
+                config=self._tcp_config,
+                clock=self._clock,
                 timers=self.sim,
                 transport=self,
                 iss=self._next_iss(),

@@ -63,6 +63,12 @@ class _KernelTimerHandle:
         if not self.cancelled:
             self.fn()
 
+    def postpone(self, delay: float) -> bool:
+        """Move the deadline later in place (see :meth:`Event.postpone`);
+        False once the timer has fired, been cancelled, or would move
+        earlier.  No CPU task is ever submitted at the old deadline."""
+        return self.event.postpone(delay)
+
     def cancel(self) -> None:
         self.cancelled = True
         self.event.cancel()
@@ -77,6 +83,12 @@ class KernelSocket:
     application callback.
     """
 
+    __slots__ = (
+        "kernel", "conn", "pending", "pending_bytes", "pending_items",
+        "pending_item_bytes", "bytes_received", "established", "remote_closed",
+        "closed", "dirty", "on_data_cb", "on_established_cb", "app_cpu_index",
+    )
+
     def __init__(self, kernel: "Kernel", conn: TcpConnection):
         self.kernel = kernel
         self.conn = conn
@@ -87,6 +99,10 @@ class KernelSocket:
         #: copy/remap costs.  ``meminfo`` is the memory hierarchy's source
         #: line classification, None when the hierarchy is off.
         self.pending_items: List[Tuple[int, int, Optional[tuple]]] = []
+        #: Sum of the bytes in ``pending_items``.
+        self.pending_item_bytes = 0
+        #: CPU the application runs on (set by the multi-queue kernel).
+        self.app_cpu_index: Optional[int] = None
         self.bytes_received = 0
         self.established = False
         self.remote_closed = False
@@ -183,6 +199,11 @@ class Kernel:
         #: Extra keyword overrides applied to every accepted connection's
         #: TcpConfig (e.g. a larger rcv_buf for long-fat-pipe experiments).
         self.tcp_overrides: Dict[str, object] = {}
+        #: The config and clock every accepted connection shares; the config
+        #: is rebuilt when ``tcp_overrides`` changed since it was built.
+        self._tcp_config: Optional[TcpConfig] = None
+        self._tcp_config_overrides: Dict[str, object] = {}
+        self._clock = lambda: sim.now
 
     # ------------------------------------------------------------------
     # configuration / wiring
@@ -199,12 +220,17 @@ class Kernel:
         self.listeners[port] = on_accept or (lambda sock: None)
 
     def default_tcp_config(self) -> TcpConfig:
-        return TcpConfig(
-            mss=self.config.mss,
-            aggregation_aware=self.opt.receive_aggregation and self.opt.modified_tcp,
-            gso_segments=self.config.tso_gso_segments if self.config.tso else 1,
-            **self.tcp_overrides,
-        )
+        """The config accepted connections share, with ``tcp_overrides``
+        as they stand now."""
+        if self._tcp_config is None or self._tcp_config_overrides != self.tcp_overrides:
+            self._tcp_config_overrides = dict(self.tcp_overrides)
+            self._tcp_config = TcpConfig(
+                mss=self.config.mss,
+                aggregation_aware=self.opt.receive_aggregation and self.opt.modified_tcp,
+                gso_segments=self.config.tso_gso_segments if self.config.tso else 1,
+                **self.tcp_overrides,
+            )
+        return self._tcp_config
 
     def _next_iss(self) -> int:
         self._iss = (self._iss + 64000) & 0xFFFFFFFF
@@ -339,7 +365,7 @@ class Kernel:
 
         if sock is not None and sock.pending_bytes > 0:
             consume(costs.misc_per_host_packet, Category.MISC)
-            new_bytes = sock.pending_bytes - sum(b for b, _, _ in sock.pending_items)
+            new_bytes = sock.pending_bytes - sock.pending_item_bytes
             if new_bytes > 0:
                 mem = self.mem
                 if mem is not None:
@@ -354,6 +380,7 @@ class Kernel:
                 else:
                     meminfo = None
                 sock.pending_items.append((new_bytes, skb.nr_frags, meminfo))
+                sock.pending_item_bytes = sock.pending_bytes
             if not sock.dirty:
                 sock.dirty = True
                 self._dirty_sockets.append(sock)
@@ -387,7 +414,7 @@ class Kernel:
         conn = TcpConnection(
             key=key,
             config=self.default_tcp_config(),
-            clock=lambda: self.sim.now,
+            clock=self._clock,
             timers=self.timers,
             transport=self,
             iss=self._next_iss(),
@@ -468,6 +495,7 @@ class Kernel:
                     self.copy_charged_items += 1
             pending, sock.pending = sock.pending, []
             sock.pending_items = []
+            sock.pending_item_bytes = 0
             sock.pending_bytes = 0
             sock.bytes_received += nbytes
             sock.conn.mark_read(nbytes)

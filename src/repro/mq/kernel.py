@@ -82,6 +82,14 @@ class _MqTimerHandle:
         finally:
             kernel._current_idx = prev
 
+    def postpone(self, delay: float) -> bool:
+        """Move the deadline later in place; the timer then fires on the
+        CPU that re-armed it, as a freshly scheduled one would."""
+        if not self.event.postpone(delay):
+            return False
+        self.cpu_index = self.timers.kernel._current_idx
+        return True
+
     def cancel(self) -> None:
         self.cancelled = True
         self.event.cancel()
@@ -312,6 +320,7 @@ class MqKernel(Kernel):
                         self.copy_charged_items += 1
                 pending, sock.pending = sock.pending, []
                 sock.pending_items = []
+                sock.pending_item_bytes = 0
                 sock.pending_bytes = 0
                 sock.bytes_received += nbytes
                 # mark_read may emit a window update: it is sent from the

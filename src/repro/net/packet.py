@@ -339,33 +339,40 @@ def make_data_segment(
     return pkt
 
 
+def _header_defaults():
+    ip = IPv4Header()
+    ip.defer_checksum()
+    return dict(ip.__dict__), dict(TcpHeader().__dict__)
+
+
+#: Header field defaults every template packet starts from, addresses and
+#: ports zero until :meth:`PacketTemplate.make` stamps them.  Built once
+#: and only ever read: ``make`` copies them into each packet's headers.
+_IP_DEFAULTS, _TCP_DEFAULTS = _header_defaults()
+#: The MAC header is never mutated in the simulation (Packet.copy clones it
+#: before any byte-level use), so every template packet shares this one.
+_TEMPLATE_ETH = EthernetHeader()
+
+
 class PacketTemplate:
     """Pre-built header template for ACK-clocked senders (paper §4.2 spirit).
 
     A TCP endpoint emits thousands of near-identical frames per flow: same
     addresses, ports, and IP defaults, differing only in seq/ack/flags/
     window/options.  Building each one through the dataclass constructors
-    re-derives all of that per packet.  A template snapshots the immutable
-    header fields once per connection; :meth:`make` stamps out packets by
-    cloning the snapshot and patching the variable fields.
+    re-derives all of that per packet.  :meth:`make` instead copies the
+    header defaults every template shares and stamps this flow's addresses
+    and ports plus the variable fields.  A template holds nothing but its
+    flow key, normally the sending connection's own ``key``.
 
     Only valid for length-only packets (``payload is None``) — byte-accurate
     senders go through the ordinary constructors.
     """
 
-    __slots__ = ("_ip_fields", "_tcp_fields", "_eth", "_flow_key", "slab")
+    __slots__ = ("_flow_key", "slab")
 
-    def __init__(self, src_ip: int, dst_ip: int, src_port: int, dst_port: int):
-        ip = IPv4Header(src_ip=src_ip, dst_ip=dst_ip)
-        ip.defer_checksum()
-        tcp = TcpHeader(src_port=src_port, dst_port=dst_port)
-        self._ip_fields = dict(ip.__dict__)
-        self._tcp_fields = dict(tcp.__dict__)
-        # The MAC header is never mutated in the simulation (Packet.copy
-        # clones it before any byte-level use), so one instance is shared by
-        # every packet stamped from this template.  Same for the flow key.
-        self._eth = EthernetHeader()
-        self._flow_key = FlowKey(src_ip, src_port, dst_ip, dst_port)
+    def __init__(self, flow_key: FlowKey):
+        self._flow_key = flow_key
         #: Optional :class:`~repro.buffers.slab.PacketSlab` to recycle dead
         #: packets from.  Attached by the rig (kernel/client) per connection.
         self.slab = None
@@ -387,14 +394,16 @@ class PacketTemplate:
             pkt = Packet.__new__(Packet)
         else:
             # Recycled packet: reuse its header objects, re-initializing
-            # every field from the template snapshot (clear first — the
-            # previous life may have set fields the snapshot lacks).
+            # every field from the defaults (clear first — the previous
+            # life may have set fields the defaults lack).
             ip = pkt.ip
             ip.__dict__.clear()
             tcp = pkt.tcp
             tcp.__dict__.clear()
-        ip.__dict__.update(self._ip_fields)
-        tcp.__dict__.update(self._tcp_fields)
+        ip.__dict__.update(_IP_DEFAULTS)
+        tcp.__dict__.update(_TCP_DEFAULTS)
+        flow_key = self._flow_key
+        ip.src_ip, tcp.src_port, ip.dst_ip, tcp.dst_port = flow_key
         tcp.seq = seq & 0xFFFFFFFF
         tcp.ack = ack & 0xFFFFFFFF
         tcp.flags = flags
@@ -405,7 +414,7 @@ class PacketTemplate:
         # Template headers are always option-less IP (ihl=5), base TCP.
         total = IP_HEADER_LEN + TCP_BASE_HEADER_LEN + options.encoded_len() + payload_len
         ip.total_length = total
-        pkt.eth = self._eth
+        pkt.eth = _TEMPLATE_ETH
         pkt.ip = ip
         pkt.tcp = tcp
         pkt.payload = None
@@ -417,6 +426,6 @@ class PacketTemplate:
         pkt.lro_segs = 1
         pkt.mem_token = None
         pkt._wire_len = ETH_HEADER_LEN + total
-        pkt._flow_key = self._flow_key
+        pkt._flow_key = flow_key
         pkt._slab_free = False
         return pkt

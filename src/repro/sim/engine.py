@@ -12,11 +12,20 @@ into Python.  ``handle`` is ``None`` on the fast path
 one (:meth:`Simulator.schedule` / :meth:`Simulator.at`).
 
 Cancellation is lazy: the heap entry stays in place and is skipped when it
-surfaces.  TCP arms an RTO timer per ACK and a delayed-ACK timer every
-second segment and cancels most of them, so the heap is compacted in place
-whenever cancelled entries exceed a small floor and outnumber the live
-ones.  Right after any cancel the heap therefore holds at most
-``2 * pending + 64`` entries, however long the arm/cancel churn runs.
+surfaces.  TCP arms a delayed-ACK timer every second segment and cancels
+most of them, so the heap is compacted in place whenever cancelled entries
+exceed a small floor and outnumber the live ones.  Right after any cancel
+the heap therefore holds at most ``2 * pending + 64`` entries, however long
+the arm/cancel churn runs.
+
+Postponement is lazy too (:meth:`Event.postpone`, Linux ``mod_timer``):
+TCP restarts its RTO on every advancing ACK, and moving a pending event
+later keeps its heap entry.  The event draws the sequence number a fresh
+:meth:`Simulator.schedule` would have drawn and records its new
+``(time, seq)``; when the old entry surfaces, :meth:`Simulator.run` and
+:meth:`Simulator.step` push it back under that key without counting a
+firing.  Every event therefore fires at the position cancel-plus-schedule
+would have given it, same-time ties included.
 
 Time is a float in *seconds*.  All subsystems (links, NICs, CPUs, TCP timers)
 schedule callbacks through one shared simulator instance.
@@ -42,9 +51,9 @@ class Event:
     """A cancellation token for a scheduled callback.
 
     Events are created through :meth:`Simulator.schedule` (or
-    :meth:`Simulator.at`) and may be cancelled with :meth:`cancel`.
-    Cancellation is lazy: the heap entry stays in place and is skipped when
-    it surfaces (subject to periodic compaction).
+    :meth:`Simulator.at`) and may be cancelled with :meth:`cancel` or moved
+    later with :meth:`postpone`.  ``time`` and ``seq`` are the event's
+    current key; its heap entry may still carry an older, earlier one.
     """
 
     __slots__ = ("time", "seq", "cancelled", "_fired", "_sim")
@@ -71,6 +80,27 @@ class Event:
         sim._cancelled = cancelled
         if cancelled > _COMPACT_MIN_CANCELLED and cancelled * 2 > len(sim._heap):
             sim._compact()
+
+    def postpone(self, delay: float) -> bool:
+        """Move this pending event to ``delay`` seconds from now, in place.
+
+        Linux ``mod_timer`` for a deadline that does not move earlier: the
+        event takes the next sequence number exactly as
+        :meth:`Simulator.schedule` would, so it fires where cancelling it and
+        scheduling anew would have put it.  Nothing is allocated and the
+        heap does not grow.  Returns False, changing nothing, when the event
+        has fired or been cancelled, or when the new deadline is earlier
+        than the current one; the caller then cancels and schedules.
+        """
+        sim = self._sim
+        time = sim.now + delay
+        if time < self.time or self.cancelled or self._fired:
+            return False
+        serial = sim._seq
+        sim._seq = serial + 1
+        self.time = time
+        self.seq = serial
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "fired" if self._fired else ("cancelled" if self.cancelled else "pending")
@@ -177,10 +207,14 @@ class Simulator:
         """Fire the next pending event.  Returns False when nothing is pending."""
         heap = self._heap
         while heap:
-            time, _seq, fn, args, handle = heapq.heappop(heap)
+            time, seq, fn, args, handle = heapq.heappop(heap)
             if handle is not None:
                 if handle.cancelled:
                     self._cancelled -= 1
+                    continue
+                if handle.seq != seq:
+                    # Postponed: requeue under the key it now holds.
+                    heapq.heappush(heap, (handle.time, handle.seq, fn, args, handle))
                     continue
                 handle._fired = True
             if time < self.now:  # pragma: no cover - defensive
@@ -199,8 +233,8 @@ class Simulator:
         or ``max_events`` have fired.
 
         ``max_events`` and :attr:`events_fired` count only real firings —
-        cancelled entries skipped on the way count in neither, exactly as in
-        :meth:`step`.
+        cancelled entries skipped and postponed entries requeued on the way
+        count in neither, exactly as in :meth:`step`.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fires earlier, so rate computations over the
@@ -209,6 +243,7 @@ class Simulator:
         self._running = True
         heap = self._heap
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         fired = 0
         # Hoist the None checks out of the loop: comparisons against +inf
         # behave identically to "no bound".
@@ -218,10 +253,14 @@ class Simulator:
             while heap:
                 entry = heap[0]
                 handle = entry[4]
-                if handle is not None and handle.cancelled:
-                    heappop(heap)
-                    self._cancelled -= 1
-                    continue
+                if handle is not None:
+                    if handle.cancelled:
+                        heappop(heap)
+                        self._cancelled -= 1
+                        continue
+                    if handle.seq != entry[1]:
+                        heapreplace(heap, (handle.time, handle.seq, entry[2], entry[3], handle))
+                        continue
                 time = entry[0]
                 if time > time_bound:
                     break

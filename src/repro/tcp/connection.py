@@ -21,8 +21,13 @@ The connection talks to its environment through a small transport interface::
 
     transport.send_packet(conn, packet)      # data / control segments
     transport.send_acks(conn, ack_event)     # a batch of consecutive pure ACKs
-    timers.schedule(delay, fn) -> handle     # handle.cancel()
+    timers.schedule(delay, fn) -> handle     # handle.cancel(),
+                                             # handle.postpone(delay) -> bool
     clock() -> float                         # simulation seconds
+
+A host builds one :class:`TcpConfig` and one clock and hands the same pair
+to every connection it opens or accepts; the config is frozen so that
+sharing it is safe.
 
 ``send_acks`` receives *all* consecutive ACKs generated by one inbound packet
 as one :class:`AckEvent` — the hook Acknowledgment Offload (§4) needs.  A
@@ -58,9 +63,9 @@ _SEQ_MASK = 0xFFFFFFFF
 _SEQ_HALF = 0x80000000
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcpConfig:
-    """Per-connection tunables."""
+    """Per-connection tunables, shared by every connection of a host."""
 
     mss: int = 1448
     #: Receive buffer: the Linux 2.6.16 default (~85 KiB).  This matters for
@@ -102,7 +107,7 @@ class AckEvent:
     sack_blocks: List[Tuple[int, int]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpConnStats:
     """Counters kept by each connection endpoint."""
 
@@ -142,6 +147,23 @@ class _RtxRecord:
 class TcpConnection:
     """One endpoint of a TCP connection (see module docstring)."""
 
+    # Past 30 attributes CPython gives every instance its own ``__dict__``;
+    # a scale run holds tens of thousands of endpoints.
+    __slots__ = (
+        "key", "config", "clock", "timers", "transport", "app", "name", "stats",
+        "_template", "state",
+        # send side
+        "iss", "snd_una", "snd_nxt", "snd_wnd", "snd_wl1", "snd_wl2",
+        "peer_mss", "peer_wscale", "peer_sack_ok", "reno", "rtt", "rtx_queue",
+        "source", "_send_base_seq", "_fin_pending", "_fin_sent", "_rto_timer",
+        "_rto_backoff", "_loss_recovery_point", "_loss_recovery_nxt",
+        "_recovery_partials", "_persist_timer",
+        # receive side
+        "irs", "rcv_nxt", "_ooo", "_segs_since_ack", "_delack_timer",
+        "ts_recent", "_unread_bytes", "_last_window_advertised", "_fin_rcvd",
+        "_time_wait_timer",
+    )
+
     def __init__(
         self,
         key: FlowKey,
@@ -161,9 +183,9 @@ class TcpConnection:
         self.app = app
         self.name = name or repr(key)
         self.stats = TcpConnStats()
-        # Outbound header template: every frame this endpoint emits shares
-        # addresses/ports and IP defaults, so they are snapshotted once.
-        self._template = PacketTemplate(key.src_ip, key.dst_ip, key.src_port, key.dst_port)
+        # Outbound header template: every frame this endpoint emits carries
+        # this connection's 4-tuple.
+        self._template = PacketTemplate(key)
 
         self.state = TcpState.CLOSED
         # ---- send side ----
@@ -917,12 +939,17 @@ class TcpConnection:
             self._send_pure_acks([self.rcv_nxt])
 
     def _arm_rto(self, restart: bool = False) -> None:
-        if self._rto_timer is not None:
-            if not restart:
-                return
-            self._rto_timer.cancel()
+        timer = self._rto_timer
+        if timer is not None and not restart:
+            return
         backoff = self._rto_backoff
         timeout = self.rtt.rto if backoff == 0 else self.rtt.rto * (2 ** backoff)
+        if timer is not None:
+            # A restart on an advancing ACK almost always moves the deadline
+            # later: postpone in place rather than allocate a new timer.
+            if timer.postpone(timeout):
+                return
+            timer.cancel()
         self._rto_timer = self.timers.schedule(timeout, self._rto_fire)
 
     def _cancel_rto(self) -> None:

@@ -14,7 +14,7 @@ from typing import Optional
 from repro.tcp.seqmath import seq_diff, seq_gt
 
 
-@dataclass
+@dataclass(slots=True)
 class RenoState:
     """Congestion-control state for one connection's send side."""
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class RttEstimator:
     """Smoothed RTT / RTT variance estimator with RFC 6298 RTO computation.
 

@@ -16,6 +16,11 @@ from repro.tcp.source import ByteSource
 class TcpSocket:
     """Application endpoint: buffers received data, surfaces callbacks."""
 
+    __slots__ = (
+        "conn", "received", "bytes_received", "established", "remote_closed",
+        "closed", "on_data_cb", "on_established_cb",
+    )
+
     def __init__(self, conn: TcpConnection):
         self.conn = conn
         conn.app = self

@@ -117,8 +117,11 @@ class _MiceApp:
         self.transactions_limit = transactions_limit
         self._received = 0
         self.on_done = on_done
-        sock.on_established_cb = lambda s: self._send_request()
+        sock.on_established_cb = self._on_established
         sock.on_data_cb = self._on_response
+
+    def _on_established(self, sock) -> None:
+        self._send_request()
 
     def _send_request(self) -> None:
         self.sock.send(b"q" * self.wl.rpc_request_bytes)
@@ -136,7 +139,7 @@ class _MiceApp:
                 self.on_done(self)
             return
         think = self.rng.expovariate(1.0 / self.wl.rpc_think_mean_s)
-        self.sim.schedule(think, self._send_request)
+        self.sim.post(think, self._send_request)
 
 
 class ManyConnectionDriver:
@@ -148,6 +151,8 @@ class ManyConnectionDriver:
         self.clients = clients
         self.wl = wl
         self.rng = SeededRng(wl.seed, "many")
+        #: Shared by every connection the population opens.
+        self._tcp_config = TcpConfig(mss=machine.config.mss)
         self.mice: List[_MiceApp] = []
         self.elephants = []
         self.connections_opened = 0
@@ -177,16 +182,14 @@ class ManyConnectionDriver:
 
     def _open_elephant(self, index: int) -> None:
         client = self._pick_client()
-        cfg = TcpConfig(mss=self.machine.config.mss)
-        sock = client.connect(self.machine.ip, ELEPHANT_PORT, config=cfg)
+        sock = client.connect(self.machine.ip, ELEPHANT_PORT, config=self._tcp_config)
         sock.conn.attach_source(InfiniteSource(seed=index))
         self.elephants.append(sock)
         self.connections_opened += 1
 
     def _open_mouse(self, index: int, limit: Optional[int] = None) -> None:
         client = self._pick_client()
-        cfg = TcpConfig(mss=self.machine.config.mss)
-        sock = client.connect(self.machine.ip, RPC_PORT, config=cfg)
+        sock = client.connect(self.machine.ip, RPC_PORT, config=self._tcp_config)
         app = _MiceApp(
             self.sim, sock, self.wl, self.rng.derive(f"mouse{index}"),
             transactions_limit=limit, on_done=self._on_closed,

@@ -159,3 +159,11 @@ def test_tcp_overrides_applied_to_accepted_connections(sim):
     conn = next(iter(machine.kernel.connections.values()))
     assert conn.config.rcv_buf == 1 << 20
     assert conn.config.window_scale == 6
+    # Accepted connections share one config, so an override set between
+    # accepts applies to the later connection only.
+    machine.kernel.tcp_overrides["rcv_buf"] = 1 << 21
+    client.connect(SERVER, 5001)
+    sim.run(until=0.1)
+    first, second = machine.kernel.connections.values()
+    assert (first.config.rcv_buf, second.config.rcv_buf) == (1 << 20, 1 << 21)
+    assert second.config.window_scale == 6

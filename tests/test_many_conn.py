@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.speed import many_conn_footprint
 from repro.core.config import OptimizationConfig
 from repro.host.configs import linux_up_config
 from repro.workloads.many import (
@@ -100,3 +101,29 @@ def test_sanitized_many_conn_run():
             sanitizer_mod.uninstall(handle)
     assert r.transactions > 0
     assert r.allocations_saved > 0
+
+
+#: GC-tracked objects per connection endpoint on the 1k rig at 30 ms: 29.3
+#: measured, plus about 15% headroom (40.2 before connection state was
+#: slotted and shared).
+OBJECTS_PER_ENDPOINT_BOUND = 34.0
+
+
+def test_connection_state_footprint():
+    """Per-connection state stays small at scale: the cyclic collector's
+    full passes scan every tracked object, so each one an endpoint holds
+    costs wall time on the 10k point."""
+    per_endpoint, (_sim, machine, clients, driver) = many_conn_footprint(1000, until=0.03)
+    server = list(machine.kernel.connections.values())
+    client = list(clients[0].connections.values())
+    for conn in (server[0], client[0]):
+        for obj in (conn, conn.stats, conn.reno, conn.rtt):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+    assert not hasattr(driver.mice[0].sock, "__dict__")  # TcpSocket
+    assert not hasattr(next(iter(machine.kernel.sockets.values())), "__dict__")
+    for a, b in (server[:2], client[:2]):
+        assert a.config is b.config
+        assert a.clock is b.clock
+    for conn in server + client:
+        assert conn._template._flow_key is conn.key
+    assert per_endpoint < OBJECTS_PER_ENDPOINT_BOUND

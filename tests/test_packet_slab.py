@@ -4,6 +4,7 @@ import pytest
 
 from repro.buffers.slab import PacketSlab, SlabViolation
 from repro.net.addresses import ip_from_str
+from repro.net.flow import FlowKey
 from repro.net.packet import PacketTemplate, TcpFlags
 
 SRC = ip_from_str("10.0.1.1")
@@ -11,7 +12,7 @@ DST = ip_from_str("10.0.0.1")
 
 
 def _template(slab=None):
-    tmpl = PacketTemplate(SRC, DST, 40000, 5001)
+    tmpl = PacketTemplate(FlowKey(SRC, 40000, DST, 5001))
     tmpl.slab = slab
     return tmpl
 

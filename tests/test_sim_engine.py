@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -140,10 +142,12 @@ def test_post_rejects_negative_delay(sim):
 
 
 def test_events_fired_counts_same_via_run_and_step(sim):
-    """run() and step() share one accounting: cancelled entries never count."""
+    """run() and step() share one accounting: cancelled entries never count,
+    and a postponed event counts once, at its new deadline."""
     for i in range(5):
         sim.schedule(1e-3 * (i + 1), lambda: None)
     sim.schedule(6e-3, lambda: None).cancel()
+    assert sim.schedule(2e-3, lambda: None).postpone(7e-3)
     while sim.step():
         pass
     fired_via_step = sim.events_fired
@@ -152,8 +156,10 @@ def test_events_fired_counts_same_via_run_and_step(sim):
     for i in range(5):
         sim2.schedule(1e-3 * (i + 1), lambda: None)
     sim2.schedule(6e-3, lambda: None).cancel()
+    assert sim2.schedule(2e-3, lambda: None).postpone(7e-3)
     sim2.run()
-    assert fired_via_step == sim2.events_fired == 5
+    assert fired_via_step == sim2.events_fired == 6
+    assert sim.now == sim2.now == 7e-3
 
 
 def test_max_events_ignores_cancelled_entries(sim):
@@ -213,19 +219,49 @@ def test_compaction_during_run_preserves_order(sim):
     assert sim.pending == 0
 
 
-def test_rto_rearm_churn_keeps_heap_bounded(sim):
-    """TCP's RTO pattern: every segment arrival cancels the pending timer
-    and arms a new one.  Lazy cancellation plus compaction must keep the
-    heap within ``2 * pending + 64`` entries after every re-arm, however
-    long the churn runs."""
+def test_postponed_kernel_timer_submits_no_task_at_old_deadline(sim):
+    """A kernel timer postpones its inner event: no CPU task is queued at
+    the stale deadline, only one at the new one, and the callback runs
+    once there."""
+    from repro.cpu.cpu import Cpu
+    from repro.host.kernel import KernelTimers
+
+    cpu = Cpu(sim, freq_hz=1e9)
+    submitted = []
+    submit = cpu.submit
+
+    def spy(fn, *args):
+        submitted.append(sim.now)
+        submit(fn, *args)
+
+    cpu.submit = spy
+    fired = []
+    handle = KernelTimers(sim, cpu).schedule(1e-3, lambda: fired.append(sim.now))
+    sim.schedule(0.5e-3, lambda: handle.postpone(1e-3))
+    sim.run(until=0.01)
+    assert submitted == [pytest.approx(1.5e-3)]
+    assert fired == [pytest.approx(1.5e-3)]
+
+
+@pytest.mark.parametrize("rearm", ["cancel_schedule", "postpone"])
+def test_rto_rearm_churn_keeps_heap_bounded(sim, rearm):
+    """TCP's RTO pattern: every segment arrival re-arms the pending timer,
+    by cancelling it and scheduling a new one or by postponing it in
+    place.  Lazy cancellation plus compaction must keep the heap within
+    ``2 * pending + 64`` entries after every re-arm, however long the
+    churn runs; postponing never grows the heap at all."""
     n_timers, rounds = 500, 200
     timers = [None] * n_timers
     remaining = [rounds] * n_timers
 
     def arrival(i):
-        if timers[i] is not None:
-            timers[i].cancel()
-        timers[i] = sim.schedule(0.200, fire, i)
+        timer = timers[i]
+        if rearm == "postpone" and timer is not None and timer.postpone(0.200):
+            assert len(sim._heap) == sim.pending
+        else:
+            if timer is not None:
+                timer.cancel()
+            timers[i] = sim.schedule(0.200, fire, i)
         assert len(sim._heap) <= 2 * sim.pending + 64
         remaining[i] -= 1
         if remaining[i] > 0:
@@ -241,24 +277,30 @@ def test_rto_rearm_churn_keeps_heap_bounded(sim):
     assert sim.pending == 0
 
 
-@pytest.mark.parametrize("seed", [1, 20260808, 424242])
-def test_random_schedule_cancel_fires_in_time_then_schedule_order(sim, seed):
-    """A seeded script schedules at equal, near and far delays, cancels
-    random handles (some already fired), and schedules from inside
-    callbacks.
-    Every live event must fire exactly once, every cancelled one never,
-    in (time, scheduling order) — through any number of compactions."""
+def _random_script(sim, seed, postpone):
+    """Run the seeded schedule/cancel/re-arm script behind
+    :func:`test_random_schedule_cancel_fires_in_time_then_schedule_order`.
+
+    A re-arm moves a pending event to a new deadline: with ``postpone``
+    through :meth:`Event.postpone`, which refuses an earlier deadline, so
+    the script then cancels and schedules; otherwise always by cancel plus
+    schedule.  Returns what fired, each event's (deadline, order of its
+    latest scheduling) key, the cancelled events, and counts of
+    compactions, of re-arms to a later, earlier and unchanged deadline,
+    and of re-arms onto another event's deadline.
+    """
     rng = random.Random(seed)
+    order = itertools.count()
     fired = []
-    times = []
+    keys = []
     cancelled = set()
     live = []
+    stats = Counter()
 
-    compactions = []
     compact = sim._compact
 
     def counting_compact():
-        compactions.append(sim.now)
+        stats["compactions"] += 1
         compact()
 
     sim._compact = counting_compact
@@ -266,28 +308,63 @@ def test_random_schedule_cancel_fires_in_time_then_schedule_order(sim, seed):
     def cb(i):
         fired.append(i)
 
+    def pick_delay():
+        return rng.choice([
+            rng.randrange(4) * 1e-4,  # same-time ties within a round
+            rng.uniform(0.0, 2.5e-4),
+            rng.uniform(0.0, 0.5),
+        ])
+
     def driver(round_no):
         for _ in range(8):
-            if rng.random() < 0.6 or not live:
-                delay = rng.choice([
-                    rng.randrange(4) * 1e-4,  # same-time ties within a round
-                    rng.uniform(0.0, 2.5e-4),
-                    rng.uniform(0.0, 0.5),
-                ])
-                i = len(times)
-                times.append(sim.now + delay)
-                live.append((i, sim.schedule(delay, cb, i)))
-            else:
+            op = rng.random()
+            if op < 0.45 or not live:
+                delay = pick_delay()
+                keys.append((sim.now + delay, next(order)))
+                live.append((len(keys) - 1, sim.schedule(delay, cb, len(keys) - 1)))
+            elif op < 0.7:
                 i, ev = live.pop(rng.randrange(len(live)))
                 if not ev._fired:
                     cancelled.add(i)
                 ev.cancel()
+            else:
+                slot = rng.randrange(len(live))
+                i, ev = live[slot]
+                old = keys[i][0]
+                delay = rng.choice([pick_delay(), old - sim.now])  # or keep its deadline
+                if ev._fired:
+                    continue
+                new = sim.now + delay
+                stats["later" if new > old else "earlier" if new < old else "equal"] += 1
+                stats["tied"] += any(k[0] == new for j, k in enumerate(keys) if j != i)
+                keys[i] = (new, next(order))
+                if not (postpone and ev.postpone(delay)):
+                    ev.cancel()
+                    live[slot] = (i, sim.schedule(delay, cb, i))
         if round_no > 0:
             sim.schedule(rng.uniform(0.0, 2e-3), driver, round_no - 1)
 
     driver(120)
     sim.run()
-    assert sorted(fired) == [i for i in range(len(times)) if i not in cancelled]
-    assert fired == sorted(fired, key=lambda i: (times[i], i))
+    return fired, keys, cancelled, stats
+
+
+@pytest.mark.parametrize("seed", [1, 20260808, 424242])
+def test_random_schedule_cancel_fires_in_time_then_schedule_order(sim, seed):
+    """A seeded script schedules at equal, near and far delays, cancels
+    random handles (some already fired), re-arms pending ones to later,
+    earlier and tied deadlines, and schedules from inside callbacks.
+    Every live event must fire exactly once, every cancelled one never,
+    in (time, scheduling order) — through any number of compactions.
+    Postponing in place must fire exactly what cancel-plus-schedule fires,
+    in the same order, with the same ``events_fired``."""
+    fired, keys, cancelled, stats = _random_script(sim, seed, postpone=True)
+    reference = Simulator()
+    ref_fired, ref_keys, ref_cancelled, ref_stats = _random_script(reference, seed, postpone=False)
+    assert (fired, keys, cancelled) == (ref_fired, ref_keys, ref_cancelled)
+    assert sim.events_fired == reference.events_fired
+    assert sorted(fired) == [i for i in range(len(keys)) if i not in cancelled]
+    assert fired == sorted(fired, key=lambda i: keys[i])
     assert len(fired) > 250
-    assert compactions
+    assert stats["compactions"] and ref_stats["compactions"]
+    assert stats["later"] and stats["earlier"] and stats["equal"] and stats["tied"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.tcp_header import TcpFlags
-from repro.tcp.connection import TcpConfig
+from repro.tcp.connection import TcpConfig, TcpConnection
 from repro.tcp.source import ByteSource, InfiniteSource
 from repro.tcp.state import TcpState
 
@@ -192,18 +192,23 @@ def test_sender_respects_receive_window(sim):
     assert conn_a.flight_size <= 8 * 1448 + 1448
 
 
-def test_window_update_resumes_stalled_sender(sim):
+def test_window_update_resumes_stalled_sender(sim, monkeypatch):
     conn_a, conn_b, sock_a, sock_b, *_ = make_pair(sim)
     # Peer app stops reading: unread bytes shrink the advertised window.
-    original_mark_read = conn_b.mark_read
-    conn_b.mark_read = lambda n: None  # swallow reads
+    original_mark_read = TcpConnection.mark_read
+
+    def mark_read(self, n):
+        if self is not conn_b:  # swallow conn_b's reads only
+            original_mark_read(self, n)
+
+    monkeypatch.setattr(TcpConnection, "mark_read", mark_read)
     sock_a.send(InfiniteSource.pattern(0, 200 * 1448))
     sim.run(until=sim.now + 0.1)
     stalled_at = conn_a.snd_nxt
     assert conn_a.flight_size == 0  # all sent data acked...
     assert sock_b.bytes_received < 200 * 1448  # ...but transfer incomplete
     # App drains: window reopens via mark_read; persist probe or later send resumes.
-    conn_b.mark_read = original_mark_read
+    monkeypatch.setattr(TcpConnection, "mark_read", original_mark_read)
     conn_b.mark_read(conn_b._unread_bytes)
     sim.run(until=sim.now + 1.0)
     assert conn_a.snd_nxt != stalled_at

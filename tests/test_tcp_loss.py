@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.tcp.connection import TcpConfig
+from repro.tcp.connection import TcpConfig, TcpConnection
 from repro.tcp.source import InfiniteSource
 
 import sys
@@ -27,19 +27,20 @@ def _stream(conn, nbytes, seed=3):
     conn.app_wrote()
 
 
-def test_backoff_doubles_under_sustained_loss(sim):
+def test_backoff_doubles_under_sustained_loss(sim, monkeypatch):
     """With every data segment lost, successive RTOs space out
     exponentially and the backoff counter climbs."""
     conn_a, _conn_b, sock_a, _sock_b, ta, _ = make_pair(sim)
     ta.filter_fn = lambda pkt: pkt.payload_len == 0  # black-hole all data
     rto_times = []
-    original = conn_a._rto_fire
+    original = TcpConnection._rto_fire
 
-    def spy():
-        rto_times.append(sim.now)
-        original()
+    def spy(self):
+        if self is conn_a:
+            rto_times.append(sim.now)
+        original(self)
 
-    conn_a._rto_fire = spy
+    monkeypatch.setattr(TcpConnection, "_rto_fire", spy)
     sock_a.send(b"x" * 100)
     sim.run(until=sim.now + 20.0)
     assert conn_a.stats.rtos >= 4

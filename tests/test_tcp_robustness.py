@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.tcp_header import TcpFlags
 from repro.sim.engine import Simulator
-from repro.tcp.connection import TcpConfig
+from repro.tcp.connection import TcpConfig, TcpConnection
 from repro.tcp.source import ByteSource, InfiniteSource
 
 import sys
@@ -13,18 +13,19 @@ sys.path.insert(0, "tests")
 from helpers import make_pair  # noqa: E402
 
 
-def test_rto_backoff_doubles(sim):
+def test_rto_backoff_doubles(sim, monkeypatch):
     """Consecutive unanswered retransmissions back the timer off exponentially."""
     conn_a, conn_b, sock_a, sock_b, ta, _ = make_pair(sim)
     ta.filter_fn = lambda pkt: pkt.payload_len == 0  # drop all data forever
     rtx_times = []
-    original = conn_a._retransmit_front
+    original = TcpConnection._retransmit_front
 
-    def spy():
-        rtx_times.append(sim.now)
-        original()
+    def spy(self):
+        if self is conn_a:
+            rtx_times.append(sim.now)
+        original(self)
 
-    conn_a._retransmit_front = spy
+    monkeypatch.setattr(TcpConnection, "_retransmit_front", spy)
     sock_a.send(b"x" * 100)
     # No RTT samples yet, so the first RTO is the RFC 6298 initial 1 s;
     # backoff then doubles: fires at ~1, 3, 7, 15 s.

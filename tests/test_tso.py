@@ -24,10 +24,10 @@ def _tso_rig(sim, tso=True, materialize=True):
 
     def on_accept(sock):
         sock.conn.attach_source(InfiniteSource(materialize=materialize, seed=3, limit_bytes=100_000))
-        if materialize:
-            sock.conn.config.materialize_payload = True
         sock.conn.app_wrote()
 
+    if materialize:
+        machine.kernel.tcp_overrides["materialize_payload"] = True
     machine.listen(5001, on_accept)
     client = ClientHost(sim, ip_from_str("10.0.1.1"))
     machine.add_client(client)
