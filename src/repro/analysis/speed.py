@@ -256,19 +256,21 @@ def measure_many_conn_speed(
 
     Reports wall seconds, fired events, per-point ``events_per_sec``, the
     slab's ``allocations_saved`` counter, and ``objects_per_endpoint`` (see
-    :func:`many_conn_footprint`, measured in a second, untimed run).  The
-    workload (population, elephant/mice mix, Poisson churn) is fully
-    seeded, so ``events_fired``, ``transactions``, ``allocations_saved``
-    and ``objects_per_endpoint`` are deterministic; only the wall figures
-    vary run to run.
+    :func:`objects_per_endpoint`, read around the timed run).  The workload
+    (population, elephant/mice mix, Poisson churn) is fully seeded, so
+    ``events_fired``, ``transactions``, ``allocations_saved`` and, for a
+    given Python version, ``objects_per_endpoint`` are deterministic; only
+    the wall figures vary run to run.
     """
-    from repro.workloads.many import ManyConnWorkload, run_many_connection_experiment
+    from repro.workloads.many import ManyConnWorkload, run_many_connection_rig
 
     wl = ManyConnWorkload(
         n_connections=n_connections, arrival_rate_hz=arrival_rate_hz
     )
+    gc.collect()
+    objects_before = len(gc.get_objects())
     t0 = time.perf_counter()
-    result = run_many_connection_experiment(
+    result, rig = run_many_connection_rig(
         linux_up_config(), OptimizationConfig.optimized(), wl,
         duration=duration, warmup=warmup,
     )
@@ -287,34 +289,23 @@ def measure_many_conn_speed(
         "connections_opened": result.connections_opened,
         "connections_closed": result.connections_closed,
         "allocations_saved": result.allocations_saved,
-        "objects_per_endpoint": many_conn_footprint(
-            n_connections, warmup + duration, arrival_rate_hz
-        )[0],
+        "objects_per_endpoint": objects_per_endpoint(rig, objects_before),
     }
 
 
-def many_conn_footprint(n_connections: int, until: float, arrival_rate_hz: float = 2000.0):
-    """Run the UP-optimized many-connection rig to ``until`` simulated
-    seconds; return the GC-tracked objects it holds per connection
-    endpoint, and the rig ``(sim, machine, clients, driver)``.
+def objects_per_endpoint(rig, objects_before: int) -> float:
+    """GC-tracked objects a many-connection ``rig`` holds per connection
+    endpoint.
 
-    The count is the change in ``len(gc.get_objects())`` across building
-    and running the rig, each taken after a full collection, divided by
-    the connection endpoints (both ends) alive at the end.  It is what the
-    cyclic collector's full passes scan per endpoint.
+    ``objects_before`` is ``len(gc.get_objects())`` after a full collection,
+    taken before the rig was built; the count after another full collection
+    minus it is divided by the connection endpoints (both ends) alive now.
+    It is what the cyclic collector's full passes scan per endpoint.
     """
-    from repro.workloads.many import ManyConnWorkload, build_many_connection_rig
-
-    wl = ManyConnWorkload(n_connections=n_connections, arrival_rate_hz=arrival_rate_hz)
-    gc.collect()
-    before = len(gc.get_objects())
-    rig = build_many_connection_rig(linux_up_config(), OptimizationConfig.optimized(), wl)
-    sim, machine, clients, driver = rig
-    driver.start()
-    sim.run(until=until)
+    _sim, machine, clients, _driver = rig
     gc.collect()
     endpoints = len(machine.kernel.connections) + sum(len(c.connections) for c in clients)
-    return (len(gc.get_objects()) - before) / endpoints, rig
+    return (len(gc.get_objects()) - objects_before) / endpoints
 
 
 def measure_scale_points() -> Dict[str, Dict[str, object]]:

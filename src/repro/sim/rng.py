@@ -20,6 +20,11 @@ class SeededRng(random.Random):
     True
     """
 
+    def __new__(cls, root_seed: int, label: str) -> "SeededRng":
+        # Before Python 3.11, random.Random.__new__ rejects a second
+        # argument even in a subclass; __init__ does the seeding.
+        return super().__new__(cls)
+
     def __init__(self, root_seed: int, label: str):
         digest = hashlib.sha256(f"{root_seed}:{label}".encode()).digest()
         super().__init__(int.from_bytes(digest[:8], "big"))

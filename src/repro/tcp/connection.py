@@ -107,24 +107,31 @@ class AckEvent:
     sack_blocks: List[Tuple[int, int]] = field(default_factory=list)
 
 
-@dataclass(slots=True)
 class TcpConnStats:
     """Counters kept by each connection endpoint."""
 
-    segs_in: int = 0
-    segs_out: int = 0
-    bytes_delivered: int = 0
-    acks_generated: int = 0
-    ack_batches: int = 0
-    dup_acks_in: int = 0
-    out_of_order_in: int = 0
-    retransmits: int = 0
-    fast_retransmits: int = 0
-    rtos: int = 0
-    delayed_ack_fires: int = 0
-    frag_acks_processed: int = 0
-    #: Times congestion control processed an advancing (non-recovery) ACK.
-    cwnd_updates: int = 0
+    # Slotted by hand: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = (
+        "segs_in", "segs_out", "bytes_delivered", "acks_generated", "ack_batches",
+        "dup_acks_in", "out_of_order_in", "retransmits", "fast_retransmits", "rtos",
+        "delayed_ack_fires", "frag_acks_processed", "cwnd_updates",
+    )
+
+    def __init__(self) -> None:
+        self.segs_in = 0
+        self.segs_out = 0
+        self.bytes_delivered = 0
+        self.acks_generated = 0
+        self.ack_batches = 0
+        self.dup_acks_in = 0
+        self.out_of_order_in = 0
+        self.retransmits = 0
+        self.fast_retransmits = 0
+        self.rtos = 0
+        self.delayed_ack_fires = 0
+        self.frag_acks_processed = 0
+        #: Times congestion control processed an advancing (non-recovery) ACK.
+        self.cwnd_updates = 0
 
 
 class _RtxRecord:

@@ -8,27 +8,27 @@ have, while feeding only the final cumulative ACK grows it too slowly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.tcp.seqmath import seq_diff, seq_gt
 
 
-@dataclass(slots=True)
 class RenoState:
     """Congestion-control state for one connection's send side."""
 
-    mss: int = 1448
-    initial_cwnd_segments: int = 3
-    cwnd: int = field(init=False)
-    ssthresh: int = field(default=1 << 30)
-    dup_acks: int = field(default=0, init=False)
-    #: High-water sequence at the moment fast recovery was entered; a
-    #: cumulative ACK at or beyond it ends recovery (NewReno).
-    recover: Optional[int] = field(default=None, init=False)
+    # One per connection endpoint.  Slotted by hand: ``dataclass(slots=True)``
+    # needs Python 3.10.
+    __slots__ = ("mss", "initial_cwnd_segments", "cwnd", "ssthresh", "dup_acks", "recover")
 
-    def __post_init__(self) -> None:
-        self.cwnd = self.initial_cwnd_segments * self.mss
+    def __init__(self, mss: int = 1448, initial_cwnd_segments: int = 3, ssthresh: int = 1 << 30) -> None:
+        self.mss = mss
+        self.initial_cwnd_segments = initial_cwnd_segments
+        self.cwnd = initial_cwnd_segments * mss
+        self.ssthresh = ssthresh
+        self.dup_acks = 0
+        #: High-water sequence at the moment fast recovery was entered; a
+        #: cumulative ACK at or beyond it ends recovery (NewReno).
+        self.recover: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 
-@dataclass(slots=True)
 class RttEstimator:
     """Smoothed RTT / RTT variance estimator with RFC 6298 RTO computation.
 
@@ -14,17 +12,32 @@ class RttEstimator:
     the paper's environment is a LAN where Linux's floor is what governs.
     """
 
-    alpha: float = 1.0 / 8.0
-    beta: float = 1.0 / 4.0
-    k: float = 4.0
-    min_rto: float = 0.2
-    max_rto: float = 120.0
-    clock_granularity: float = 0.001
+    # One per connection endpoint.  Slotted by hand: ``dataclass(slots=True)``
+    # needs Python 3.10.
+    __slots__ = (
+        "alpha", "beta", "k", "min_rto", "max_rto", "clock_granularity",
+        "srtt", "rttvar", "samples", "last_sample",
+    )
 
-    srtt: Optional[float] = field(default=None, init=False)
-    rttvar: Optional[float] = field(default=None, init=False)
-    samples: int = field(default=0, init=False)
-    last_sample: Optional[float] = field(default=None, init=False)
+    def __init__(
+        self,
+        alpha: float = 1.0 / 8.0,
+        beta: float = 1.0 / 4.0,
+        k: float = 4.0,
+        min_rto: float = 0.2,
+        max_rto: float = 120.0,
+        clock_granularity: float = 0.001,
+    ) -> None:
+        self.alpha = alpha
+        self.beta = beta
+        self.k = k
+        self.min_rto = min_rto
+        self.max_rto = max_rto
+        self.clock_granularity = clock_granularity
+        self.srtt: Optional[float] = None
+        self.rttvar: Optional[float] = None
+        self.samples = 0
+        self.last_sample: Optional[float] = None
 
     def sample(self, rtt: float) -> None:
         """Fold one RTT measurement into the estimate (never from a

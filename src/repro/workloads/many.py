@@ -280,6 +280,19 @@ def run_many_connection_experiment(
     warmup: float = 0.05,
 ) -> ManyConnResult:
     """Run the scale workload and measure over [warmup, warmup+duration]."""
+    return run_many_connection_rig(config, opt, workload, duration, warmup)[0]
+
+
+def run_many_connection_rig(
+    config: SystemConfig,
+    opt: OptimizationConfig,
+    workload: Optional[ManyConnWorkload] = None,
+    duration: float = 0.10,
+    warmup: float = 0.05,
+):
+    """:func:`run_many_connection_experiment`, also returning the rig
+    ``(sim, machine, clients, driver)`` as the run left it:
+    ``(result, rig)``."""
     from repro.obs import runtime as obs_runtime
     from repro.workloads.stream import _server_bytes, bind_ledger, bind_observation
 
@@ -301,7 +314,7 @@ def run_many_connection_experiment(
             obs.meta.update(system=config.name, optimized=opt.receive_aggregation)
 
     slab = getattr(machine, "packet_slab", None)
-    return ManyConnResult(
+    result = ManyConnResult(
         system=config.name,
         optimized=opt.receive_aggregation,
         n_connections=wl.n_connections,
@@ -314,3 +327,4 @@ def run_many_connection_experiment(
         events_fired=sim.events_fired,
         allocations_saved=slab.allocations_saved if slab is not None else 0,
     )
+    return result, (sim, machine, clients, driver)
