@@ -258,9 +258,12 @@ def measure_many_conn_speed(
     slab's ``allocations_saved`` counter, and ``objects_per_endpoint`` (see
     :func:`objects_per_endpoint`, read around the timed run).  The workload
     (population, elephant/mice mix, Poisson churn) is fully seeded, so
-    ``events_fired``, ``transactions``, ``allocations_saved`` and, for a
-    given Python version, ``objects_per_endpoint`` are deterministic; only
-    the wall figures vary run to run.
+    ``events_fired``, ``transactions`` and ``allocations_saved`` are
+    deterministic, and so, for a given Python version, is
+    ``objects_per_endpoint`` to within about ten objects (0.01% at 1k): the
+    first run in a process also fills process-wide caches such as enum
+    flag combinations and struct formats.  Only the wall figures vary run
+    to run.
     """
     from repro.workloads.many import ManyConnWorkload, run_many_connection_rig
 
@@ -511,9 +514,11 @@ def format_compare(rows: List[dict], baseline_sha: str) -> str:
 def compare_scale(baseline: Dict[str, dict], current: Dict[str, dict]) -> List[dict]:
     """Scale-point deltas, keyed by point name ("1k", "10k").
 
-    Both compared figures are deterministic: a changed ``events_fired`` is
-    a semantic change, a changed ``objects_per_endpoint`` a change in how
-    much state each connection keeps.
+    Both compared figures are deterministic (``objects_per_endpoint`` to
+    about 0.01% on one Python version, see :func:`measure_many_conn_speed`):
+    a changed ``events_fired`` is a semantic change, a changed
+    ``objects_per_endpoint`` a change in how much state each connection
+    keeps.
     """
     rows = []
     for name, p in current.items():
