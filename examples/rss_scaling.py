@@ -14,7 +14,6 @@ Usage::
 
 from repro import OptimizationConfig
 from repro.host.configs import linux_smp_config
-from repro.mq.workload import run_mq_stream_experiment
 from repro.workloads.stream import run_stream_experiment
 
 CONNECTIONS = 200
@@ -27,15 +26,11 @@ def main() -> None:
           f"baseline stack (no aggregation)\n")
 
     print(f"{'queues':>6}  {'steering':>8}  {'Mb/s':>8}  {'CPU':>6}  {'xcpu cyc/pkt':>12}")
-    single = run_stream_experiment(config, OptimizationConfig.baseline(),
-                                   n_connections=CONNECTIONS,
-                                   duration=DURATION, warmup=WARMUP)
-    print(f"{1:>6}  {'—':>8}  {single.throughput_mbps:8.0f}  "
-          f"{single.cpu_utilization:6.1%}  {0.0:12.0f}")
-
-    for queues in (2, 4):
+    # One queue is the paper's single-path machine: nothing to steer, so
+    # both policies print the same row.
+    for queues in (1, 2, 4):
         for steering in ("rss", "arfs"):
-            r = run_mq_stream_experiment(
+            r = run_stream_experiment(
                 config, OptimizationConfig.baseline(), queues=queues,
                 steering=steering, n_connections=CONNECTIONS,
                 duration=DURATION, warmup=WARMUP,

@@ -1,4 +1,4 @@
-"""Cross-CPU ownership race detector ("simtsan") for the multi-queue rig.
+"""Cross-CPU ownership race detector ("simtsan") for multi-queue machines.
 
 The multi-queue model's credibility rests on every cross-CPU touch being
 *paid for*: when softirq processing on CPU *i* reaches into state owned by
@@ -13,8 +13,9 @@ dynamic half, in the style of a thread sanitizer:
   by the CPU its MSI-X vector targets, each per-queue aggregation engine
   and softirq port by its queue's CPU, and each accepted socket by the
   ``app_cpu_index`` it is pinned to at accept time
-  (:meth:`~repro.mq.machine.MqReceiverMachine.ownership_map` prints the
-  static part of this table).
+  (:meth:`~repro.host.machine.ReceiverMachine.ownership_map` prints the
+  static part of this table).  Only machines with more than one CPU are
+  watched: a one-queue machine has no foreign owner to race with.
 * **Accesses** are noted at the product seams — demux touching a socket,
   the application drain reading it, a driver ISR draining a ring, a
   softirq port entering its queue's path — through ``_rc`` attributes
@@ -35,7 +36,8 @@ on the Figure 7 and multi-queue workloads).
 Usage::
 
     from repro.analysis.racecheck import install, uninstall
-    handle = install()          # every Simulator/MqReceiverMachine from now on
+    handle = install()          # every Simulator and multi-CPU
+                                # ReceiverMachine from now on
     ...                         # run experiments
     uninstall(handle)
 
@@ -173,14 +175,12 @@ class RaceChecker:
 
     def _sync_components(self, machine) -> None:
         """Point every per-queue component at this checker and tag it."""
-        for entry in machine.drivers:
-            drivers = entry if isinstance(entry, (list, tuple)) else (entry,)
-            for driver in drivers:
-                driver._rc = self
-                owner = getattr(driver.queue, "owner_cpu", None)
-                if owner is not None and id(driver.queue) not in self._tags:
-                    self.tag(driver.queue, owner, f"{driver.nic.name}.q{driver.queue.index} ring")
-        for aggregator in getattr(machine.kernel, "aggregators", ()):
+        for driver in machine.drivers:
+            driver._rc = self
+            owner = getattr(driver.queue, "owner_cpu", None)
+            if owner is not None and id(driver.queue) not in self._tags:
+                self.tag(driver.queue, owner, f"{driver.nic.name}.q{driver.queue.index} ring")
+        for aggregator in machine.aggregators:
             owner = self._cpu_index.get(id(aggregator.cpu))
             if owner is not None and id(aggregator) not in self._tags:
                 self.tag(aggregator, owner, aggregator.name)
@@ -357,11 +357,11 @@ _active_handle: Optional[_InstallHandle] = None
 
 
 def _machine_classes():
-    """Machines with per-CPU receive paths — the only ones with cross-CPU
-    ownership to check."""
-    from repro.mq.machine import MqReceiverMachine
+    """Machine classes whose multi-CPU instances have cross-CPU ownership
+    to check."""
+    from repro.host.machine import ReceiverMachine
 
-    return (MqReceiverMachine,)
+    return (ReceiverMachine,)
 
 
 def install() -> _InstallHandle:
@@ -386,6 +386,8 @@ def install() -> _InstallHandle:
 
         def racechecked_machine_init(self, sim, *args, _orig=machine_init, **kwargs):
             _orig(self, sim, *args, **kwargs)
+            if len(self.cpus) < 2:
+                return
             for checker in handle.checkers:
                 if checker.sim is sim:
                     checker.watch_machine(self)

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional
 from repro.core.config import OptimizationConfig
 from repro.experiments.base import window
 from repro.host.configs import linux_smp_config, linux_up_config, xen_config
-from repro.mq.workload import run_mq_stream_experiment
 from repro.workloads.stream import run_stream_experiment
 
 
@@ -50,33 +49,12 @@ def measure_stream_speed(
     opt: OptimizationConfig,
     duration: float,
     warmup: float,
+    queues: int = 1,
 ) -> Dict[str, float]:
     """Time one streaming simulation; report wall seconds, events, packets."""
     t0 = time.perf_counter()
-    result = run_stream_experiment(config, opt, duration=duration, warmup=warmup)
-    wall = time.perf_counter() - t0
-    return {
-        "system": result.system,
-        "optimized": result.optimized,
-        "wall_s": wall,
-        "events_fired": result.events_fired,
-        "events_per_sec": result.events_fired / wall if wall > 0 else 0.0,
-        "network_packets": result.network_packets,
-        "throughput_mbps": result.throughput_mbps,
-    }
-
-
-def measure_mq_stream_speed(
-    config,
-    opt: OptimizationConfig,
-    queues: int,
-    duration: float,
-    warmup: float,
-) -> Dict[str, float]:
-    """Time one multi-queue streaming simulation (same report shape)."""
-    t0 = time.perf_counter()
-    result = run_mq_stream_experiment(
-        config, opt, queues=queues, duration=duration, warmup=warmup
+    result = run_stream_experiment(
+        config, opt, duration=duration, warmup=warmup, queues=queues
     )
     wall = time.perf_counter() - t0
     return {
@@ -110,9 +88,9 @@ def measure_figure07_speed(quick: bool = True) -> Dict[str, object]:
                 measure_stream_speed(config_fn(), opt, duration=duration, warmup=warmup)
             )
     points.append(
-        measure_mq_stream_speed(
-            linux_smp_config(), OptimizationConfig.optimized(), queues=4,
-            duration=duration, warmup=warmup,
+        measure_stream_speed(
+            linux_smp_config(), OptimizationConfig.optimized(),
+            duration=duration, warmup=warmup, queues=4,
         )
     )
     wall = sum(p["wall_s"] for p in points)
@@ -220,14 +198,10 @@ def measure_racecheck_overhead(quick: bool = True) -> Dict[str, object]:
     config = linux_smp_config()
     opt = OptimizationConfig.optimized()
 
-    off = measure_mq_stream_speed(
-        config, opt, queues=4, duration=duration, warmup=warmup
-    )
+    off = measure_stream_speed(config, opt, duration=duration, warmup=warmup, queues=4)
     handle = racecheck.install()
     try:
-        on = measure_mq_stream_speed(
-            config, opt, queues=4, duration=duration, warmup=warmup
-        )
+        on = measure_stream_speed(config, opt, duration=duration, warmup=warmup, queues=4)
         stats = [c.stats for c in handle.checkers if c.stats.accesses_noted]
     finally:
         racecheck.uninstall(handle)

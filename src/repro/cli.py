@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--queues", type=int, nargs="+", default=None, metavar="Q",
         help="receive-queue counts to sweep (experiments with a queues "
-        "parameter, e.g. extension_rss_scaling; others ignore it)",
+        "parameter, e.g. extension_rss_scaling; others reject it)",
     )
     p_run.add_argument(
         "--drop", type=float, default=0.0, metavar="P",

@@ -110,15 +110,6 @@ def _server_bytes(machine) -> int:
     return sum(sock.bytes_received for sock in machine.kernel.sockets.values())
 
 
-def _governors(machine):
-    found = []
-    governor = getattr(machine, "governor", None)
-    if governor is not None:
-        found.append(governor)
-    found.extend(getattr(machine, "governors", ()))
-    return found
-
-
 def _assert_streams_intact(machine, senders, label: str) -> None:
     """§3.2 equivalence, end to end: the delivered stream is the sent one.
 
@@ -203,22 +194,14 @@ def _run_mode(
             f"{horizon * 1000:.0f} ms of sim time"
         )
 
-    drivers = []
-    for entry in machine.drivers:
-        drivers.extend(entry if isinstance(entry, (list, tuple)) else [entry])
-    repairs = getattr(machine, "repairs", ())
     return {
         "mbps": fault_mbps,
         "recovery_ms": recovery_ms,
         "retransmits": sum(s.conn.stats.retransmits for s in senders),
-        "resets": sum(d.stats.resets for d in drivers),
-        "flips": sum(
-            g.stats.enters + g.stats.exits for g in _governors(machine)
-        ),
-        "transitions": sum(
-            g.stats.mode_transitions for g in _governors(machine)
-        ),
-        "holds": sum(r.stats.holds for r in repairs),
+        "resets": sum(d.stats.resets for d in machine.drivers),
+        "flips": sum(g.stats.enters + g.stats.exits for g in machine.governors),
+        "transitions": sum(g.stats.mode_transitions for g in machine.governors),
+        "holds": sum(r.stats.holds for r in machine.repairs),
         "events": sim.events_fired,
     }
 

@@ -14,9 +14,9 @@ Expectations (the model's, not the paper's):
 * static RSS pays a growing ``xcpu`` toll (cache-line bouncing + cross-CPU
   wakeups, since the hash ignores where the consumer runs) that aRFS-style
   steering eliminates;
-* ``queues=1`` degenerates to the single-path rig of Figure 12 — those
-  rows are produced by the identical code path and match Figure 12
-  bit-for-bit.
+* ``queues=1`` is the single-path rig of Figure 12 by construction —
+  those rows match Figure 12 bit-for-bit, and with one queue there is
+  nothing to steer, so the aRFS column equals the RSS baseline.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.config import OptimizationConfig
 from repro.experiments.base import ExperimentResult, window
 from repro.host.configs import linux_smp_config
-from repro.mq.workload import run_mq_stream_experiment
 from repro.parallel import run_points
 from repro.workloads.stream import run_stream_experiment
 
@@ -46,41 +45,20 @@ def _measure_point(point: Tuple[int, int, float, float]) -> Dict[str, float]:
 
     Module-level and returning a plain dict so it is picklable for the
     :mod:`repro.parallel` process pool; each simulation is fully isolated.
-    ``queues == 1`` runs the classic single-path rig (same code path as
-    Figure 12, hence bit-identical rows); multi-queue points run the
-    baseline and optimized stacks under static RSS plus the baseline stack
-    under aRFS-style flow steering.
+    Runs the baseline and optimized stacks under static RSS plus the
+    baseline stack under aRFS-style flow steering.
     """
     q, n, duration, warmup = point
-    if q == 1:
-        base = run_stream_experiment(
-            linux_smp_config(), OptimizationConfig.baseline(),
-            n_connections=n, duration=duration, warmup=warmup,
+
+    def stream(opt: OptimizationConfig, steering: str):
+        return run_stream_experiment(
+            linux_smp_config(), opt, n_connections=n, duration=duration,
+            warmup=warmup, queues=q, steering=steering,
         )
-        opt = run_stream_experiment(
-            linux_smp_config(), OptimizationConfig.optimized(),
-            n_connections=n, duration=duration, warmup=warmup,
-        )
-        arfs_mbps = base.throughput_mbps  # one queue: nothing to steer
-        xcpu = 0.0
-    else:
-        base = run_mq_stream_experiment(
-            linux_smp_config(), OptimizationConfig.baseline(),
-            queues=q, steering="rss",
-            n_connections=n, duration=duration, warmup=warmup,
-        )
-        opt = run_mq_stream_experiment(
-            linux_smp_config(), OptimizationConfig.optimized(),
-            queues=q, steering="rss",
-            n_connections=n, duration=duration, warmup=warmup,
-        )
-        arfs = run_mq_stream_experiment(
-            linux_smp_config(), OptimizationConfig.baseline(),
-            queues=q, steering="arfs",
-            n_connections=n, duration=duration, warmup=warmup,
-        )
-        arfs_mbps = arfs.throughput_mbps
-        xcpu = base.breakdown.get("xcpu", 0.0)
+
+    base = stream(OptimizationConfig.baseline(), "rss")
+    opt = stream(OptimizationConfig.optimized(), "rss")
+    arfs = stream(OptimizationConfig.baseline(), "arfs")
     return {
         "queues": q,
         "connections": n,
@@ -88,8 +66,8 @@ def _measure_point(point: Tuple[int, int, float, float]) -> Dict[str, float]:
         "Optimized Mb/s": opt.throughput_mbps,
         "gain %": 100 * (opt.throughput_mbps / base.throughput_mbps - 1),
         "aggregation degree": opt.aggregation_degree,
-        "aRFS Mb/s": arfs_mbps,
-        "xcpu cyc/pkt": xcpu,
+        "aRFS Mb/s": arfs.throughput_mbps,
+        "xcpu cyc/pkt": base.breakdown.get("xcpu", 0.0),
     }
 
 

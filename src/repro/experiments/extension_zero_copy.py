@@ -42,7 +42,6 @@ from repro.core.config import OptimizationConfig
 from repro.experiments.base import ExperimentResult, window
 from repro.host.configs import linux_smp_config, linux_up_config
 from repro.mem.hierarchy import MemConfig
-from repro.mq.workload import build_mq_stream_rig
 from repro.parallel import run_points
 from repro.workloads.stream import build_stream_rig
 
@@ -52,13 +51,19 @@ from repro.workloads.stream import build_stream_rig
 FULL_WORKING_SETS = (256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20)
 QUICK_WORKING_SETS = (256 << 10, 4 << 20, 16 << 20)
 
-SYSTEMS = ("up", "smp", "mq4")
-
 #: mq4 CPU clock (Hz).  At the stock 3 GHz four receive paths saturate
 #: five GbE links with cycles to spare in either mode and the goodput
 #: columns tie at link rate; 0.8 GHz makes the rig receive-CPU-bound so
 #: the copy's cache behaviour shows up in goodput, not just cycles/byte.
 MQ4_CPU_FREQ_HZ = 0.8e9
+
+#: Per rig: (base config, receive queues, CPU clock override or None).
+RIGS = {
+    "up": (linux_up_config, 1, None),
+    "smp": (linux_smp_config, 1, None),
+    "mq4": (linux_smp_config, 4, MQ4_CPU_FREQ_HZ),
+}
+SYSTEMS = tuple(RIGS)
 
 #: NUMA nodes for the mq4 rig unless overridden via ``--numa-nodes``.
 DEFAULT_MQ4_NODES = 2
@@ -85,36 +90,29 @@ def measure_mode(
     window divided by the delivered-byte delta — whole-stack cycles, so
     the copy-vs-zcrx difference rides on top of a common protocol floor.
     """
+    try:
+        config_fn, queues, freq_hz = RIGS[system]
+    except KeyError:
+        raise ValueError(f"unknown system {system!r} (want up, smp, or mq4)") from None
     opt = OptimizationConfig.zcrx() if zero_copy else OptimizationConfig.optimized()
-    mem = MemConfig(nodes=nodes, app_working_set_bytes=working_set_bytes)
-    if system == "mq4":
-        cfg = dataclasses.replace(
-            linux_smp_config(), cpu_freq_hz=MQ4_CPU_FREQ_HZ, mem=mem
-        )
-        sim, machine, _clients, _senders = build_mq_stream_rig(
-            cfg, opt, queues=4, steering="rss"
-        )
-        busy_cycles = machine.total_busy_cycles
-    elif system in ("up", "smp"):
-        base = linux_up_config() if system == "up" else linux_smp_config()
-        cfg = dataclasses.replace(base, mem=mem)
-        sim, machine, _clients, _senders = build_stream_rig(cfg, opt)
-        cpu = machine.cpu
-        busy_cycles = lambda: cpu.busy_cycles  # noqa: E731 - local probe
-    else:
-        raise ValueError(f"unknown system {system!r} (want up, smp, or mq4)")
+    cfg = dataclasses.replace(
+        config_fn(), mem=MemConfig(nodes=nodes, app_working_set_bytes=working_set_bytes)
+    )
+    if freq_hz is not None:
+        cfg = dataclasses.replace(cfg, cpu_freq_hz=freq_hz)
+    sim, machine, _clients, _senders = build_stream_rig(cfg, opt, queues=queues)
 
     def server_bytes() -> int:
         return sum(s.bytes_received for s in machine.kernel.sockets.values())
 
     sim.run(until=warmup)
-    busy0 = busy_cycles()
+    busy0 = machine.total_busy_cycles()
     bytes0 = server_bytes()
     evictions0 = machine.mem.io_evictions
     remote0 = machine.mem.remote_line_fetches
     sim.run(until=warmup + duration)
     delta_bytes = server_bytes() - bytes0
-    delta_busy = busy_cycles() - busy0
+    delta_busy = machine.total_busy_cycles() - busy0
     return {
         "mbps": delta_bytes * 8 / duration / 1e6,
         "cyc_per_byte": delta_busy / max(1, delta_bytes),

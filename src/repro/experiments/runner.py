@@ -97,7 +97,8 @@ def run_experiment(
     support it (see :mod:`repro.parallel`); experiments without a ``jobs``
     parameter simply run serially.  Results are identical either way.
     ``queues`` overrides the swept receive-queue counts for experiments
-    that take one (``extension_rss_scaling``); others ignore it.
+    that take one (``extension_rss_scaling``); asking any other
+    experiment is an error.
     ``impairments`` (an :class:`~repro.faults.plan.ImpairmentConfig`)
     applies wire impairments / a fault plan to experiments that accept
     them; asking an experiment that doesn't is an error, not a silent
@@ -125,7 +126,12 @@ def run_experiment(
     kwargs = {}
     if jobs is not None and "jobs" in params:
         kwargs["jobs"] = jobs
-    if queues is not None and "queues" in params:
+    if queues is not None:
+        if "queues" not in params:
+            raise ValueError(
+                f"experiment {experiment_id!r} does not sweep receive queues "
+                "(--queues)"
+            )
         kwargs["queues"] = queues
     if impairments is not None:
         if "impairments" not in params:

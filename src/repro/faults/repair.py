@@ -12,9 +12,9 @@ window collapse).  The interrupt-coalescing window the driver already waits
 out is exactly the latency budget the sort spends.
 
 Placement: the driver owns one buffer per queue and routes drained packets
-through :meth:`process` before ``aggregator.enqueue`` — the same seam on
-UP (``host/machine.py`` via the kernel) and mq rigs (``mq/kernel.py`` via
-the per-queue :class:`~repro.mq.kernel.SoftirqPort`), so all repair work
+through :meth:`process` before ``aggregator.enqueue`` — the same seam at
+every queue count (via the kernel with one queue, via the per-queue
+:class:`~repro.mq.kernel.SoftirqPort` with more), so all repair work
 happens on the CPU that owns the queue (no cross-CPU traffic).
 
 Cost model: every probe, sorted insert, and release is charged through

@@ -12,21 +12,20 @@ Modules
 ``costs``     Mechanistic cross-CPU costs + residual SMP lock model.
 ``kernel``    The base kernel generalized to N CPUs (softirq/app/timer
               contexts each pick their CPU; cross-CPU traffic is charged).
-``machine``   N-CPU receiver machine with per-queue drivers and per-CPU
-              aggregation engines.
-``workload``  The streaming benchmark on the multi-queue machine.
+``workload``  ``build_mq_stream_rig``, a one-call shim over
+              :func:`repro.workloads.stream.build_stream_rig`.
+
+The machine itself is :class:`repro.host.machine.ReceiverMachine` with
+``queues > 1``.
 """
 
 from repro.mq.costs import CrossCpuCostModel, mq_lock_model
-from repro.mq.machine import MqReceiverMachine
 from repro.mq.rss import RSS_DEFAULT_KEY, IndirectionTable, RssHasher, toeplitz_hash
 from repro.mq.steering import FlowSteering, StaticRssSteering, SteeringPolicy, make_policy
-from repro.mq.workload import build_mq_stream_rig, run_mq_stream_experiment
 
 __all__ = [
     "CrossCpuCostModel",
     "mq_lock_model",
-    "MqReceiverMachine",
     "RSS_DEFAULT_KEY",
     "IndirectionTable",
     "RssHasher",
@@ -35,6 +34,4 @@ __all__ = [
     "StaticRssSteering",
     "SteeringPolicy",
     "make_policy",
-    "build_mq_stream_rig",
-    "run_mq_stream_experiment",
 ]

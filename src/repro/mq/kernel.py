@@ -103,15 +103,10 @@ class SoftirqPort:
     and owns that queue's (per-CPU, lock-free — §3.5) aggregation engine.
     """
 
-    def __init__(self, kernel: "MqKernel", cpu_index: int, aggregator=None, repair=None):
+    def __init__(self, kernel: "MqKernel", cpu_index: int, aggregator=None):
         self.kernel = kernel
         self.cpu_index = cpu_index
         self.aggregator = aggregator
-        #: This queue's :class:`~repro.faults.repair.ReorderRepairBuffer`
-        #: (None unless ``opt.repair``).  The driver runs it on the ring
-        #: drain; the port holds the reference so ownership/racecheck and
-        #: the observability layer can find it per queue.
-        self.repair = repair
 
     def softirq_baseline(self, skbs: List[SkBuff]) -> None:
         prev = self.kernel.enter_cpu(self.cpu_index)
@@ -152,7 +147,6 @@ class MqKernel(Kernel):
         self.steering = steering
         self.cross = cross if cross is not None else CrossCpuCostModel()
         self._next_app_cpu = 0
-        self.aggregators: list = []
         #: Race checker seam (None unless --racecheck): same idiom as the
         #: tracer's ``_tr`` — one attribute load on the charged paths.
         self._rc = None
@@ -347,15 +341,13 @@ class MqKernel(Kernel):
     # ------------------------------------------------------------------
     # transmit: one tx driver per CPU per destination
     # ------------------------------------------------------------------
-    def register_route(self, dst_ip: int, driver) -> None:
-        """Accepts a single driver or a per-CPU driver list; the sending
-        CPU uses its own queue's driver (MSI-X tx/rx pairing)."""
-        self.routes[dst_ip] = driver
+    def register_route(self, dst_ip: int, drivers) -> None:
+        """Route ``dst_ip`` through a per-CPU driver list; the sending CPU
+        uses its own queue's driver (MSI-X tx/rx pairing)."""
+        self.routes[dst_ip] = drivers
 
     def _driver_for(self, conn: TcpConnection):
-        entry = self.routes.get(conn.key.dst_ip)
-        if entry is None:
+        drivers = self.routes.get(conn.key.dst_ip)
+        if drivers is None:
             raise RuntimeError(f"{self.name}: no route to {conn.key.dst_ip}")
-        if isinstance(entry, (list, tuple)):
-            return entry[self._current_idx % len(entry)]
-        return entry
+        return drivers[self._current_idx % len(drivers)]

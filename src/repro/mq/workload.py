@@ -1,33 +1,16 @@
-"""The streaming-receive benchmark on the multi-queue machine.
+"""The streaming-receive rig on the multi-queue machine, in one call.
 
-Same netperf-style TCP_STREAM receive test as
-:mod:`repro.workloads.stream`, but the server is an
-:class:`~repro.mq.machine.MqReceiverMachine`: utilization is busy cycles
-summed over all CPUs against ``queues`` CPUs' worth of capacity, and the
-profile is the cross-CPU merge (the same way the paper's SMP breakdowns sum
-both processors).
+:func:`repro.workloads.stream.build_stream_rig` takes ``queues`` and
+``steering`` itself; this shim keeps the older multi-queue entry point.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
-from repro.host.client import ClientHost
 from repro.host.configs import OptimizationConfig, SystemConfig
-from repro.mq.machine import MqReceiverMachine
 from repro.mq.steering import SteeringPolicy
-from repro.net.addresses import ip_from_str
-from repro.obs import runtime as obs_runtime
-from repro.sim.engine import Simulator
-from repro.tcp.connection import TcpConfig
-from repro.tcp.source import InfiniteSource
-from repro.workloads.results import ThroughputResult
-from repro.workloads.stream import (
-    SERVER_PORT,
-    bind_ledger,
-    bind_observation,
-    stamp_ledger_measurement,
-)
+from repro.workloads.stream import build_stream_rig
 
 
 def build_mq_stream_rig(
@@ -37,122 +20,5 @@ def build_mq_stream_rig(
     steering: Union[str, SteeringPolicy] = "rss",
     n_connections: Optional[int] = None,
 ):
-    """Assemble sim + multi-queue server + clients + connections, unstarted.
-
-    Client addressing and connection order match
-    :func:`repro.workloads.stream.build_stream_rig` exactly, so a
-    ``queues=1`` rig sees the same packet arrival pattern as the classic
-    single-path rig.
-    """
-    sim = Simulator()
-    machine = MqReceiverMachine(
-        sim, config, opt, queues=queues, steering=steering, ip=ip_from_str("10.0.0.1")
-    )
-    machine.listen(SERVER_PORT)
-
-    clients: List[ClientHost] = []
-    for i in range(config.n_nics):
-        client = ClientHost(sim, ip_from_str(f"10.0.1.{i + 1}"), name=f"client{i}", iss_base=1000 + i)
-        machine.add_client(client)
-        clients.append(client)
-
-    if n_connections is None:
-        n_connections = config.n_nics
-    sender_sockets = []
-    for j in range(n_connections):
-        client = clients[j % len(clients)]
-        tcp_cfg = TcpConfig(mss=config.mss)
-        sock = client.connect(machine.ip, SERVER_PORT, config=tcp_cfg)
-        sock.conn.attach_source(InfiniteSource(materialize=False, seed=j))
-        sender_sockets.append(sock)
-    return sim, machine, clients, sender_sockets
-
-
-def run_mq_stream_experiment(
-    config: SystemConfig,
-    opt: OptimizationConfig,
-    queues: int,
-    steering: Union[str, SteeringPolicy] = "rss",
-    n_connections: Optional[int] = None,
-    duration: float = 0.30,
-    warmup: float = 0.15,
-) -> ThroughputResult:
-    """Run the multi-queue streaming benchmark over [warmup, warmup+duration]."""
-    label = f"{config.name}/mq{queues}"
-    with obs_runtime.observe(label) as obs:
-        result = _run_mq_observed(
-            config, opt, queues, steering, n_connections, duration, warmup, obs
-        )
-        if obs is not None:
-            obs.meta.update(system=result.system, optimized=result.optimized)
-            if obs.sampler is not None:
-                result.series = obs.sampler.to_json()
-    return result
-
-
-def _run_mq_observed(
-    config: SystemConfig,
-    opt: OptimizationConfig,
-    queues: int,
-    steering,
-    n_connections: Optional[int],
-    duration: float,
-    warmup: float,
-    obs,
-) -> ThroughputResult:
-    sim, machine, clients, senders = build_mq_stream_rig(
-        config, opt, queues, steering, n_connections
-    )
-    bind_observation(obs, sim, machine, senders, horizon=warmup + duration)
-    bind_ledger(obs, warmup, {SERVER_PORT: "stream"})
-
-    sim.run(until=warmup)
-    profile0 = _merged_snapshot(machine, sim.now)
-    busy0 = machine.total_busy_cycles()
-    bytes0 = _server_bytes(machine)
-    drops0 = machine.total_ring_drops()
-    rtx0 = _sender_retransmits(senders)
-
-    sim.run(until=warmup + duration)
-    profile1 = _merged_snapshot(machine, sim.now)
-    delta = profile1.diff(profile0)
-    bytes_rx = _server_bytes(machine) - bytes0
-    busy = machine.total_busy_cycles() - busy0
-    # Utilization against the whole package: N CPUs' worth of cycles.
-    capacity = duration * machine.cpus[0].freq_hz * queues
-    utilization = min(1.0, busy / capacity)
-    n_pkts = max(1, delta.network_packets)
-    stamp_ledger_measurement(obs, delta, bytes_rx)
-
-    return ThroughputResult(
-        system=f"{config.name}/mq{queues}-{machine.steering.name}",
-        optimized=opt.receive_aggregation,
-        throughput_mbps=bytes_rx * 8 / duration / 1e6,
-        cpu_utilization=utilization,
-        duration_s=duration,
-        bytes_received=bytes_rx,
-        network_packets=delta.network_packets,
-        host_packets=delta.host_packets,
-        acks_sent=delta.acks_sent,
-        aggregation_degree=delta.network_packets / max(1, delta.host_packets),
-        cycles_per_packet=delta.total_cycles / n_pkts,
-        breakdown={cat: cyc / n_pkts for cat, cyc in delta.cycles.items()},
-        ring_drops=machine.total_ring_drops() - drops0,
-        retransmits=_sender_retransmits(senders) - rtx0,
-        profile=delta,
-        events_fired=sim.events_fired,
-    )
-
-
-def _merged_snapshot(machine: MqReceiverMachine, time: float):
-    snap = machine.merged_profile()
-    snap.time = time
-    return snap
-
-
-def _server_bytes(machine: MqReceiverMachine) -> int:
-    return sum(sock.bytes_received for sock in machine.kernel.sockets.values())
-
-
-def _sender_retransmits(senders) -> int:
-    return sum(sock.conn.stats.retransmits for sock in senders)
+    """``build_stream_rig`` with ``queues`` receive queues per NIC."""
+    return build_stream_rig(config, opt, n_connections, queues=queues, steering=steering)

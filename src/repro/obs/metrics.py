@@ -228,13 +228,13 @@ class MetricsRegistry:
 def bind_machine(registry: MetricsRegistry, machine) -> None:
     """Register a receiver machine's scattered stat fields as callback gauges.
 
-    Works on every machine type (classic, Xen, multi-queue) by duck typing:
-    anything with ``nics`` gets per-NIC/per-queue ring and interrupt metrics;
-    drivers, aggregation engines, and TCP connections are picked up when
-    present.  Reading happens lazily at collection/sampling time, so binding
-    costs the hot path nothing.
+    Works on every machine (any queue count, or Xen) through the shared
+    :class:`~repro.host.machine.ReceiverBase` lists: per-NIC/per-queue ring
+    and interrupt metrics, then drivers, aggregation engines, governors,
+    repair stages, links and CPUs.  Reading happens lazily at
+    collection/sampling time, so binding costs the hot path nothing.
     """
-    for nic in getattr(machine, "nics", ()):
+    for nic in machine.nics:
         stats = nic.stats
         base = f"nic.{nic.name}"
         registry.gauge(f"{base}.rx_frames", lambda s=stats: s.rx_frames)
@@ -261,15 +261,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
                 )
                 registry.gauge(f"{qbase}.lro.flushes", lambda e=queue.lro: e.flushes)
 
-    # Classic machines keep a flat driver list; the multi-queue machine
-    # keeps one list per NIC (one driver per queue).
-    flat_drivers = []
-    for entry in getattr(machine, "drivers", ()):
-        if isinstance(entry, (list, tuple)):
-            flat_drivers.extend(entry)
-        else:
-            flat_drivers.append(entry)
-    for driver in flat_drivers:
+    for driver in machine.drivers:
         stats = driver.stats
         base = f"driver.{driver.name}"
         registry.gauge(f"{base}.isr_runs", lambda s=stats: s.isr_runs)
@@ -285,7 +277,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
         registry.gauge(f"{base}.watchdog_ticks", lambda s=stats: s.watchdog_ticks)
         registry.gauge(f"{base}.resets", lambda s=stats: s.resets)
 
-    for aggr in _aggregators_of(machine):
+    for aggr in machine.aggregators:
         stats = aggr.stats
         base = f"aggr.{aggr.name}"
         registry.gauge(f"{base}.packets_in", lambda s=stats: s.packets_in)
@@ -304,7 +296,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
         registry.gauge(f"{base}.dropped_no_buffer", lambda s=stats: s.dropped_no_buffer)
         registry.gauge(f"{base}.packets_degraded", lambda s=stats: s.packets_degraded)
 
-    for governor in _governors_of(machine):
+    for governor in machine.governors:
         stats = governor.stats
         base = f"governor.{governor.name}"
         registry.gauge(f"{base}.degraded", lambda g=governor: int(g.degraded))
@@ -320,7 +312,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
             f"{base}.mode_transitions", lambda s=stats: s.mode_transitions
         )
 
-    for repair in getattr(machine, "repairs", ()):
+    for repair in machine.repairs:
         stats = repair.stats
         base = f"repair.{repair.name}"
         registry.gauge(f"{base}.occupancy", lambda r=repair: r.occupancy)
@@ -341,7 +333,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
         registry.gauge(f"{base}.max_hold_ns", lambda s=stats: s.max_hold_ns)
         registry.gauge(f"{base}.peak_occupancy", lambda s=stats: s.peak_occupancy)
 
-    for link in getattr(machine, "links", ()):
+    for link in machine.links:
         stats = link.stats
         base = f"link.{link.name}"
         registry.gauge(f"{base}.frames_sent", lambda s=stats: s.frames_sent)
@@ -359,8 +351,7 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
         registry.gauge("faults.ended", lambda s=stats: s.faults_ended)
         registry.gauge("faults.active", lambda s=stats: s.active)
 
-    cpus = getattr(machine, "cpus", None) or [machine.cpu]
-    for index, cpu in enumerate(cpus):
+    for index, cpu in enumerate(machine.cpus):
         base = f"cpu.{index}"
         registry.gauge(f"{base}.busy_cycles", lambda c=cpu: c.busy_cycles)
         registry.gauge(
@@ -432,31 +423,3 @@ def bind_connections(registry: MetricsRegistry, connections: Iterable) -> None:
         registry.gauge(f"{base}.ssthresh", lambda c=conn: c.reno.ssthresh)
         registry.gauge(f"{base}.rcv_nxt", lambda c=conn: c.rcv_nxt)
         registry.gauge(f"{base}.retransmits", lambda c=conn: c.stats.retransmits)
-
-
-def _governors_of(machine) -> List[object]:
-    """Every degradation governor a machine owns (single or per-queue)."""
-    found = []
-    governor = getattr(machine, "governor", None)
-    if governor is not None:
-        found.append(governor)
-    found.extend(getattr(machine, "governors", ()))
-    return found
-
-
-def _aggregators_of(machine) -> List[object]:
-    """Every aggregation engine a machine owns, across machine flavors."""
-    found = []
-    kernel = getattr(machine, "kernel", None)
-    if kernel is not None:
-        aggr = getattr(kernel, "aggregator", None)
-        if aggr is not None:
-            found.append(aggr)
-        found.extend(getattr(kernel, "aggregators", ()))
-    dd = getattr(machine, "driver_domain", None)
-    if dd is not None and getattr(dd, "aggregator", None) is not None:
-        found.append(dd.aggregator)
-    for aggr in getattr(machine, "aggregators", ()):
-        if aggr not in found:
-            found.append(aggr)
-    return found

@@ -195,7 +195,7 @@ def bind_standard_probes(sampler: TimeSeriesSampler, machine, senders=()) -> Non
 
     Covers the series the figures reason about: receive throughput, sender
     cwnd, per-queue ring occupancy, and aggregation queue depth.  Works on
-    classic, Xen, and multi-queue machines via the same duck typing as
+    every machine through the same shared lists as
     :func:`repro.obs.metrics.bind_machine`.
     """
     kernel = getattr(machine, "kernel", None)
@@ -211,21 +211,19 @@ def bind_standard_probes(sampler: TimeSeriesSampler, machine, senders=()) -> Non
         conn = sock.conn
         sampler.add_probe(f"cwnd.{conn.name}", lambda c=conn: c.reno.cwnd)
 
-    for nic in getattr(machine, "nics", ()):
+    for nic in machine.nics:
         for queue in nic.queues:
             sampler.add_probe(
                 f"ring.{nic.name}.q{queue.index}.occupancy",
                 lambda r=queue.ring: len(r),
             )
 
-    from repro.obs.metrics import _aggregators_of
-
-    for aggr in _aggregators_of(machine):
+    for aggr in machine.aggregators:
         sampler.add_probe(
             f"aggr.{aggr.name}.queue_depth", lambda a=aggr: len(a.queue)
         )
 
-    for repair in getattr(machine, "repairs", ()):
+    for repair in machine.repairs:
         sampler.add_probe(
             f"repair.{repair.name}.occupancy", lambda r=repair: r.occupancy
         )

@@ -238,15 +238,7 @@ def build_many_connection_rig(
         client = ClientHost(
             sim, ip_from_str(f"10.0.1.{i + 1}"), name=f"client{i}", iss_base=1000 + i
         )
-        if wl.batch_window_s > 0:
-            try:
-                machine.add_client(client, batch_window_s=wl.batch_window_s)
-            except TypeError:
-                # Engines without link batching (the pre-PR A/B baseline)
-                # deliver per-frame; the workload is otherwise identical.
-                machine.add_client(client)
-        else:
-            machine.add_client(client)
+        machine.add_client(client, batch_window_s=wl.batch_window_s)
         clients.append(client)
 
     driver = ManyConnectionDriver(sim, machine, clients, wl)

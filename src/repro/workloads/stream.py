@@ -7,18 +7,24 @@ receive goodput over a measurement window that starts after a warm-up, plus
 the CPU-utilization and per-packet profile needed by the breakdown figures.
 
 Multi-connection variants (paper §5.3, Figure 12) distribute N connections
-round-robin over the NICs/clients.
+round-robin over the NICs/clients.  ``queues > 1`` serves the same rig from
+a multi-queue machine (one receive path per queue, see
+:mod:`repro.host.machine`): utilization is then busy cycles summed over all
+CPUs against ``queues`` CPUs' worth of capacity, and the profile is the
+cross-CPU merge (the same way the paper's SMP breakdowns sum both
+processors).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import ImpairmentConfig
 from repro.host.client import ClientHost
 from repro.host.configs import OptimizationConfig, SystemConfig
 from repro.host.machine import ReceiverMachine
+from repro.mq.steering import SteeringPolicy
 from repro.net.addresses import ip_from_str
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import bind_connections, bind_machine
@@ -32,13 +38,18 @@ from repro.workloads.results import ThroughputResult
 SERVER_PORT = 5001
 
 
-def make_receiver(sim, config, opt, ip):
+def make_receiver(sim, config, opt, ip, queues: int = 1, steering="rss"):
     """Build the right machine type (native or Xen) for ``config``."""
     if config.is_xen:
+        if queues > 1:
+            raise ValueError(
+                f"the Xen pipeline has one receive path; queues={queues} "
+                "needs a native config"
+            )
         from repro.xen.machine import XenReceiverMachine
 
         return XenReceiverMachine(sim, config, opt, ip=ip)
-    return ReceiverMachine(sim, config, opt, ip=ip)
+    return ReceiverMachine(sim, config, opt, queues=queues, steering=steering, ip=ip)
 
 
 def build_stream_rig(
@@ -47,8 +58,13 @@ def build_stream_rig(
     n_connections: Optional[int] = None,
     impairments: Optional[ImpairmentConfig] = None,
     materialize: bool = False,
+    queues: int = 1,
+    steering: Union[str, SteeringPolicy] = "rss",
 ):
     """Assemble sim + server + clients + connections; returns them unstarted.
+
+    ``queues``/``steering`` pick the receive queues per NIC and the
+    multi-queue steering policy (see :class:`~repro.host.machine.ReceiverMachine`).
 
     ``impairments`` optionally applies steady-state wire impairments
     (drop/reorder/dup probabilities, per-link seeded RNG streams) and arms a
@@ -60,7 +76,9 @@ def build_stream_rig(
     throughput runs keep the default length-only segments.
     """
     sim = Simulator()
-    machine = make_receiver(sim, config, opt, ip=ip_from_str("10.0.0.1"))
+    machine = make_receiver(
+        sim, config, opt, ip=ip_from_str("10.0.0.1"), queues=queues, steering=steering
+    )
     machine.listen(SERVER_PORT)
 
     imp = impairments
@@ -102,8 +120,8 @@ def bind_observation(obs, sim, machine, senders, horizon: float) -> None:
 
     Registers the machine's stat fields and the senders' protocol state into
     the metrics registry (callback gauges — nothing is written twice) and
-    arms the time-series sampler up to ``horizon``.  Works for the classic,
-    Xen, and multi-queue rigs alike.
+    arms the time-series sampler up to ``horizon``.  Works for every queue
+    count and for the Xen rig alike.
     """
     if obs is None:
         return
@@ -149,12 +167,18 @@ def run_stream_experiment(
     duration: float = 0.30,
     warmup: float = 0.15,
     impairments: Optional[ImpairmentConfig] = None,
+    queues: int = 1,
+    steering: Union[str, SteeringPolicy] = "rss",
 ) -> ThroughputResult:
     """Run the streaming benchmark and measure over [warmup, warmup+duration]."""
-    label = f"{config.name}/{'opt' if opt.receive_aggregation else 'base'}"
+    if queues == 1:
+        label = f"{config.name}/{'opt' if opt.receive_aggregation else 'base'}"
+    else:
+        label = f"{config.name}/mq{queues}"
     with obs_runtime.observe(label) as obs:
         result = _run_stream_observed(
-            config, opt, n_connections, duration, warmup, obs, impairments
+            config, opt, n_connections, duration, warmup, obs, impairments,
+            queues, steering,
         )
         if obs is not None:
             obs.meta.update(system=result.system, optimized=result.optimized)
@@ -170,32 +194,38 @@ def _run_stream_observed(
     duration: float,
     warmup: float,
     obs,
-    impairments: Optional[ImpairmentConfig] = None,
+    impairments: Optional[ImpairmentConfig],
+    queues: int,
+    steering,
 ) -> ThroughputResult:
     sim, machine, clients, senders = build_stream_rig(
-        config, opt, n_connections, impairments=impairments
+        config, opt, n_connections, impairments=impairments, queues=queues,
+        steering=steering,
     )
     bind_observation(obs, sim, machine, senders, horizon=warmup + duration)
     bind_ledger(obs, warmup, {SERVER_PORT: "stream"})
 
     sim.run(until=warmup)
-    profile0 = machine.profiler.snapshot(sim.now)
-    busy0 = machine.cpu.busy_cycles
+    profile0 = _merged_snapshot(machine, sim.now)
+    busy0 = machine.total_busy_cycles()
     bytes0 = _server_bytes(machine)
     drops0 = machine.total_ring_drops()
     rtx0 = _sender_retransmits(senders)
 
     sim.run(until=warmup + duration)
-    profile1 = machine.profiler.snapshot(sim.now)
+    profile1 = _merged_snapshot(machine, sim.now)
     delta = profile1.diff(profile0)
     bytes_rx = _server_bytes(machine) - bytes0
-    busy = machine.cpu.busy_cycles - busy0
-    utilization = min(1.0, busy / (duration * machine.cpu.freq_hz))
+    busy = machine.total_busy_cycles() - busy0
+    # Utilization against the whole package: every CPU's worth of cycles.
+    capacity = duration * machine.cpus[0].freq_hz * len(machine.cpus)
+    utilization = min(1.0, busy / capacity)
     n_pkts = max(1, delta.network_packets)
     stamp_ledger_measurement(obs, delta, bytes_rx)
 
+    system = config.name if queues == 1 else f"{config.name}/mq{queues}-{machine.steering.name}"
     return ThroughputResult(
-        system=config.name,
+        system=system,
         optimized=opt.receive_aggregation,
         throughput_mbps=bytes_rx * 8 / duration / 1e6,
         cpu_utilization=utilization,
@@ -214,7 +244,13 @@ def _run_stream_observed(
     )
 
 
-def _server_bytes(machine: ReceiverMachine) -> int:
+def _merged_snapshot(machine, time: float):
+    snap = machine.merged_profile()
+    snap.time = time
+    return snap
+
+
+def _server_bytes(machine) -> int:
     return sum(sock.bytes_received for sock in machine.kernel.sockets.values())
 
 

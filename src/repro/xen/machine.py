@@ -1,7 +1,8 @@
 """The Xen receive host: driver domain + hypervisor + guest on one CPU.
 
-Mirrors :class:`repro.host.machine.ReceiverMachine` for the virtualized
-configuration of the paper (Linux 2.6.16.38 guest on Xen 3.0.4).  One
+Shares :class:`~repro.host.machine.ReceiverBase` with the native machine
+and builds the pipeline for the virtualized configuration of the paper
+(Linux 2.6.16.38 guest on Xen 3.0.4).  One
 physical CPU is shared by all three layers via
 :class:`~repro.cpu.view.CpuView`: driver-domain work keeps native category
 labels, guest-kernel work is relabelled onto the ``tcp rx``/``tcp tx`` axis
@@ -23,10 +24,9 @@ from repro.faults.degradation import CoalesceGovernor
 from repro.host.client import ClientHost
 from repro.host.configs import SystemConfig
 from repro.host.kernel import Kernel
-from repro.net.addresses import ip_from_str
+from repro.host.machine import ReceiverBase
 from repro.nic.nic import Nic
 from repro.sim.engine import Simulator
-from repro.sim.link import Link
 from repro.xen.costs import XenCostModel
 from repro.xen.driver_domain import DriverDomain
 from repro.xen.guest_tx import GuestTxPath
@@ -38,7 +38,7 @@ GUEST_CATEGORY_MAP = {
 }
 
 
-class XenReceiverMachine:
+class XenReceiverMachine(ReceiverBase):
     """The virtualized server machine of the paper's evaluation."""
 
     def __init__(
@@ -68,14 +68,11 @@ class XenReceiverMachine:
                 "reorder repair (OptimizationConfig.repair) is not modelled "
                 "for the Xen pipeline — its drivers have no repair stage"
             )
-        self.sim = sim
-        self.config = config
-        self.opt = opt
-        self.ip = ip if ip is not None else ip_from_str("10.0.0.1")
-        self.name = name
+        super().__init__(sim, config, opt, ip, name)
         self.xen_costs = xen_costs if xen_costs is not None else XenCostModel()
 
         self.cpu = Cpu(sim, config.cpu_freq_hz, costs=config.costs, locks=config.locks, name=f"{name}-cpu0")
+        self.cpus.append(self.cpu)
         #: Driver-domain view: native categories, native costs.
         self.dd_cpu = CpuView(self.cpu, name=f"{name}-dom0")
         #: Guest view: rx/tx land in "tcp rx"/"tcp tx", guest work inflated.
@@ -88,6 +85,7 @@ class XenReceiverMachine:
 
         self.dd_pool = BufferPool(name=f"{name}-dom0-skb")
         self.guest_pool = BufferPool(name=f"{name}-guest-skb")
+        self.pools.extend((self.dd_pool, self.guest_pool))
 
         # The guest kernel is the unmodified costed kernel, running on the
         # guest CPU view with its own buffer pool.
@@ -103,9 +101,10 @@ class XenReceiverMachine:
         )
         #: Graceful-degradation governor (aggregation runs in the driver
         #: domain, so its governor lives there too).
-        self.governor: Optional[CoalesceGovernor] = None
+        governor: Optional[CoalesceGovernor] = None
         if opt.auto_degrade and opt.receive_aggregation:
-            self.governor = CoalesceGovernor(name=f"{name}-governor")
+            governor = CoalesceGovernor(name=f"{name}-governor")
+            self.governors.append(governor)
         if opt.receive_aggregation:
             self.driver_domain.aggregator = AggregationEngine(
                 cpu=self.dd_cpu,
@@ -113,17 +112,12 @@ class XenReceiverMachine:
                 opt=opt,
                 pool=self.dd_pool,
                 deliver=self.driver_domain.forward_rx,
-                governor=self.governor,
+                governor=governor,
                 name=f"{name}-aggr",
             )
+            self.aggregators.append(self.driver_domain.aggregator)
 
-        self.nics: List[Nic] = []
-        self.drivers: List[E1000Driver] = []
         self.tx_paths: List[GuestTxPath] = []
-        self.clients: List[ClientHost] = []
-        #: Inbound (client -> NIC) links in attach order (fault injector /
-        #: sanitizer link-conservation audit).
-        self.links: List[Link] = []
 
     # ------------------------------------------------------------------
     def add_client(
@@ -133,7 +127,10 @@ class XenReceiverMachine:
         reorder_prob: float = 0.0,
         dup_prob: float = 0.0,
         rng=None,
+        batch_window_s: float = 0.0,
     ) -> Nic:
+        """Attach a client via a dedicated NIC and full-duplex link (same
+        signature as :meth:`ReceiverMachine.add_client`)."""
         cfg = self.config
         index = len(self.nics)
         nic = Nic(
@@ -160,42 +157,11 @@ class XenReceiverMachine:
             physical_driver=driver,
             name=f"{self.name}-tx{index}",
         )
-        inbound = Link(
-            self.sim, cfg.nic_rate_bps, cfg.link_delay_s, sink=nic.rx_frame,
-            drop_prob=drop_prob, reorder_prob=reorder_prob, dup_prob=dup_prob,
-            rng=rng, name=f"{client.name}->{nic.name}",
-        )
-        outbound = Link(
-            self.sim, cfg.nic_rate_bps, cfg.link_delay_s, sink=client.rx,
-            name=f"{nic.name}->{client.name}",
-        )
-        client.attach_tx(inbound)
-        nic.attach_tx(outbound)
+        self._cable(client, nic, drop_prob, reorder_prob, dup_prob, rng, batch_window_s)
         self.kernel.register_route(client.ip, tx_path)
-        self.nics.append(nic)
         self.drivers.append(driver)
         self.tx_paths.append(tx_path)
-        self.clients.append(client)
-        self.links.append(inbound)
         return nic
-
-    # ------------------------------------------------------------------
-    def listen(self, port: int, on_accept=None) -> None:
-        self.kernel.listen(port, on_accept)
-
-    @property
-    def profiler(self):
-        return self.cpu.profiler
-
-    def total_ring_drops(self) -> int:
-        """Tail drops summed over every queue of every NIC."""
-        return sum(q.ring.dropped for nic in self.nics for q in nic.queues)
-
-    def per_queue_counters(self) -> List[dict]:
-        """Per-queue drop/occupancy rows (see reporting.queue_stats_rows)."""
-        from repro.analysis.reporting import queue_stats_rows
-
-        return queue_stats_rows(self.nics)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"XenReceiverMachine(opt={self.opt}, nics={len(self.nics)})"

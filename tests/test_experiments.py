@@ -5,6 +5,8 @@ claims (who wins, by roughly what factor, where the knees are).  Absolute
 tolerances are deliberately loose — the substrate is a simulator.
 """
 
+import functools
+
 import pytest
 
 from repro.cpu.categories import Category
@@ -40,6 +42,21 @@ def test_registry_complete():
 def test_unknown_experiment_rejected():
     with pytest.raises(KeyError):
         run_experiment("figure99")
+
+
+def test_queues_rejected_before_running_an_experiment_without_a_sweep(monkeypatch):
+    ran = []
+    figure7 = REGISTRY["figure7"]
+
+    @functools.wraps(figure7)
+    def spy(*args, **kwargs):
+        ran.append(True)
+        return figure7(*args, **kwargs)
+
+    monkeypatch.setitem(REGISTRY, "figure7", spy)
+    with pytest.raises(ValueError, match="--queues"):
+        run_experiment("figure7", queues=[2])
+    assert not ran
 
 
 # ---------------------------------------------------------------- figure 1

@@ -47,13 +47,6 @@ def _server_bytes(machine) -> int:
     return sum(s.bytes_received for s in machine.kernel.sockets.values())
 
 
-def _flat_drivers(machine):
-    flat = []
-    for entry in machine.drivers:
-        flat.extend(entry if isinstance(entry, (list, tuple)) else [entry])
-    return flat
-
-
 def _assert_streams_intact(machine, senders) -> None:
     """Length-accounting form of §3.2 equivalence (byte-exact content is
     covered by the materialized tests below)."""
@@ -178,6 +171,24 @@ def test_fault_kind_injects_restores_and_recovers(kind):
         assert link.in_flight >= 0
 
 
+def test_pool_exhaust_caps_every_pool_of_a_numa_multi_queue_rig():
+    """A 2-node, 4-queue rig allocates from one sk_buff pool per node; the
+    fault caps each of them during the window and restores each after."""
+    from repro.mem.hierarchy import MemConfig
+
+    plan = storm_plan("pool_exhaust", 0.9, start=0.02, duration=0.02)
+    sim, machine, _clients, _senders = build_stream_rig(
+        fast_config(n_nics=1, mem=MemConfig(nodes=2)), OptimizationConfig.optimized(),
+        impairments=ImpairmentConfig(plan=plan), queues=4,
+    )
+    assert len(machine.pools) == 2
+    caps = [pool.capacity for pool in machine.pools]
+    sim.run(until=0.03)
+    assert [pool.capacity for pool in machine.pools] == [25, 25]
+    sim.run(until=0.05)
+    assert [pool.capacity for pool in machine.pools] == caps
+
+
 def test_target_selects_a_single_link():
     plan = FaultPlan(specs=(
         FaultSpec("link_flap", start=0.01, duration=0.01, target="1"),
@@ -218,7 +229,7 @@ def test_watchdog_reset_recovers_hung_nic_without_leaking():
     )
     sim.run(until=0.35)
 
-    drivers = _flat_drivers(machine)
+    drivers = machine.drivers
     assert sum(d.stats.resets for d in drivers) >= 1
     assert all(d.stats.watchdog_ticks > 0 for d in drivers)
     assert not any(nic.hung for nic in machine.nics)
@@ -779,7 +790,7 @@ def test_armed_plan_with_repair_replays_bit_identically():
             stats.releases_in_order, stats.releases_deadline,
             stats.releases_overflow, stats.releases_flush,
             stats.deadline_fires, stats.max_hold_ns,
-            machine.governor.stats.mode_transitions,
+            machine.governors[0].stats.mode_transitions,
         )
 
     assert one_run() == one_run()

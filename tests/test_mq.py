@@ -14,13 +14,13 @@ import pytest
 from repro.core.config import OptimizationConfig
 from repro.host.client import ClientHost
 from repro.host.configs import linux_smp_config
-from repro.mq.machine import MqReceiverMachine
-from repro.mq.workload import run_mq_stream_experiment
+from repro.host.machine import ReceiverMachine
 from repro.net.addresses import ip_from_str
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
 from repro.tcp.connection import TcpConfig
 from repro.tcp.source import InfiniteSource
+from repro.workloads.stream import build_stream_rig, run_stream_experiment
 
 from tests.conftest import fast_config
 
@@ -32,7 +32,7 @@ def run_mq_transfer(opt, queues=2, steering="rss", nbytes=200_000, n_conns=4,
     """Materialized transfers through the multi-queue machine; returns
     (machine, per-connection payloads received in order)."""
     sim = Simulator()
-    machine = MqReceiverMachine(
+    machine = ReceiverMachine(
         sim, fast_config(n_nics=1), opt, queues=queues, steering=steering, ip=SERVER
     )
     received = {}
@@ -53,16 +53,32 @@ def run_mq_transfer(opt, queues=2, steering="rss", nbytes=200_000, n_conns=4,
     return machine, received
 
 
-@pytest.mark.parametrize("knob,opt", [
-    ("auto_degrade", OptimizationConfig.optimized(auto_degrade=True)),
-    ("repair", OptimizationConfig.resilient(repair=True)),
-], ids=["auto_degrade", "repair"])
-def test_nic_lro_with_ungoverned_knob_rejected(knob, opt):
-    """The mq LRO engines have no governor, so neither knob could gate
-    hardware LRO: the combination must fail loudly."""
-    config = dataclasses.replace(fast_config(n_nics=1), nic_lro=True)
-    with pytest.raises(ValueError, match=knob):
-        MqReceiverMachine(Simulator(), config, opt, queues=2)
+def test_nic_lro_is_governed_per_queue_under_a_reorder_storm():
+    """Hardware LRO with auto_degrade on a 2-queue rig (extension_resilience's
+    reorder_storm+lro setting): each queue's LRO answers to its own path's
+    governor, which degrades it during the storm, and every stream stays
+    intact."""
+    from repro.experiments.extension_resilience import FAULT_DURATION, FAULT_START
+    from repro.faults.plan import ImpairmentConfig, storm_plan
+    from repro.tcp.seqmath import seq_diff
+
+    plan = storm_plan("reorder_storm", 0.3, start=FAULT_START, duration=FAULT_DURATION)
+    config = dataclasses.replace(fast_config(), nic_lro=True)
+    sim, machine, _clients, _senders = build_stream_rig(
+        config, OptimizationConfig.resilient(),
+        impairments=ImpairmentConfig(plan=plan), queues=2,
+    )
+    lros = [queue.lro for nic in machine.nics for queue in nic.queues]
+    assert [lro.governor for lro in lros] == machine.governors
+    sim.run(until=plan.horizon + 0.02)
+
+    assert any(governor.stats.enters > 0 for governor in machine.governors)
+    assert any(lro.passthrough_degraded > 0 for lro in lros)
+    kernel = machine.kernel
+    assert kernel.sockets
+    for key, sock in kernel.sockets.items():
+        conn = kernel.connections[key]
+        assert sock.bytes_received + sock.pending_bytes == seq_diff(conn.rcv_nxt, conn.irs) - 1
 
 
 @pytest.mark.parametrize("steering", ["rss", "arfs"])
@@ -117,10 +133,10 @@ def test_sockets_are_pinned_round_robin():
 
 
 def test_mq_run_is_deterministic():
-    a = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                 queues=4, n_connections=50, duration=0.02, warmup=0.01)
-    b = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                 queues=4, n_connections=50, duration=0.02, warmup=0.01)
+    a = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                              queues=4, n_connections=50, duration=0.02, warmup=0.01)
+    b = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                              queues=4, n_connections=50, duration=0.02, warmup=0.01)
     assert a.throughput_mbps == b.throughput_mbps  # bit-identical
     assert a.breakdown == b.breakdown
 
@@ -128,27 +144,26 @@ def test_mq_run_is_deterministic():
 def test_baseline_throughput_scales_with_queues_when_cpu_bound():
     """At 200 connections the single-path baseline is CPU-bound; adding
     receive queues must increase aggregate throughput monotonically."""
-    from repro.workloads.stream import run_stream_experiment
 
     single = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
                                    n_connections=200, duration=0.03, warmup=0.02)
     results = [single.throughput_mbps]
     for q in (2, 4):
-        r = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                     queues=q, n_connections=200,
-                                     duration=0.03, warmup=0.02)
+        r = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                                  queues=q, n_connections=200,
+                                  duration=0.03, warmup=0.02)
         results.append(r.throughput_mbps)
     assert results[0] < results[1] < results[2], results
     assert single.cpu_utilization == pytest.approx(1.0)
 
 
 def test_arfs_eliminates_cross_cpu_costs():
-    rss = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                   queues=4, steering="rss",
-                                   n_connections=40, duration=0.02, warmup=0.01)
-    arfs = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
-                                    queues=4, steering="arfs",
-                                    n_connections=40, duration=0.02, warmup=0.01)
+    rss = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                                queues=4, steering="rss",
+                                n_connections=40, duration=0.02, warmup=0.01)
+    arfs = run_stream_experiment(linux_smp_config(), OptimizationConfig.baseline(),
+                                 queues=4, steering="arfs",
+                                 n_connections=40, duration=0.02, warmup=0.01)
     assert rss.breakdown.get("xcpu", 0.0) > 0.0
     assert arfs.breakdown.get("xcpu", 0.0) == 0.0
 
@@ -156,8 +171,8 @@ def test_arfs_eliminates_cross_cpu_costs():
 def test_mq_cycles_are_conserved_across_cpus():
     """Profiled cycles summed over all CPUs equal total busy cycles."""
     sim = Simulator()
-    machine = MqReceiverMachine(sim, fast_config(n_nics=1),
-                                OptimizationConfig.optimized(), queues=2, ip=SERVER)
+    machine = ReceiverMachine(sim, fast_config(n_nics=1),
+                              OptimizationConfig.optimized(), queues=2, ip=SERVER)
     machine.listen(5001)
     client = ClientHost(sim, ip_from_str("10.0.1.1"))
     machine.add_client(client)
@@ -174,9 +189,9 @@ def test_sanitizer_audits_mq_rig():
 
     handle = install()
     try:
-        r = run_mq_stream_experiment(linux_smp_config(), OptimizationConfig.optimized(),
-                                     queues=4, steering="arfs",
-                                     n_connections=16, duration=0.02, warmup=0.01)
+        r = run_stream_experiment(linux_smp_config(), OptimizationConfig.optimized(),
+                                  queues=4, steering="arfs",
+                                  n_connections=16, duration=0.02, warmup=0.01)
         assert r.throughput_mbps > 0
         sanitizer = handle.sanitizers[-1]
         assert sanitizer.stats.deep_audits > 0
@@ -193,8 +208,8 @@ def test_sanitizer_catches_flow_requeued_without_resteer():
     handle = install()
     try:
         sim = Simulator()
-        machine = MqReceiverMachine(sim, fast_config(n_nics=1),
-                                    OptimizationConfig.baseline(), queues=2, ip=SERVER)
+        machine = ReceiverMachine(sim, fast_config(n_nics=1),
+                                  OptimizationConfig.baseline(), queues=2, ip=SERVER)
         machine.listen(5001)
         client = ClientHost(sim, ip_from_str("10.0.1.1"))
         machine.add_client(client)
@@ -230,7 +245,7 @@ def test_mq_repair_rig_racecheck_and_ledger_green():
     try:
         with obs_runtime.observe("mq-repair") as o:
             sim = Simulator()
-            machine = MqReceiverMachine(
+            machine = ReceiverMachine(
                 sim, fast_config(n_nics=1),
                 OptimizationConfig.resilient(repair=True),
                 queues=2, steering="rss", ip=SERVER,

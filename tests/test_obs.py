@@ -339,10 +339,10 @@ def test_figure12_rows_neutral_under_full_observation():
 
 
 def test_mq_stream_neutral_under_full_observation():
-    from repro.mq.workload import run_mq_stream_experiment
+    from repro.workloads.stream import run_stream_experiment
 
     def point():
-        return run_mq_stream_experiment(
+        return run_stream_experiment(
             linux_up_config(),
             OptimizationConfig.optimized(),
             queues=2,

@@ -48,11 +48,6 @@ def _rows_json(result) -> str:
     return json.dumps([row for row in result.rows], sort_keys=True, default=str)
 
 
-def _machine_cpus(machine):
-    cpus = getattr(machine, "cpus", None)
-    return list(cpus) if cpus is not None else [machine.cpu]
-
-
 def _run_rig_with_ledger(config, opt, until=0.05):
     """Build + run a stream rig inside a ledger-enabled observation; return
     (ledger, machine)."""
@@ -80,7 +75,7 @@ def _run_rig_with_ledger(config, opt, until=0.05):
 )
 def test_ledger_reconciles_exactly_on_every_machine_type(config_fn, opt):
     led, machine = _run_rig_with_ledger(config_fn(), opt)
-    cpus = _machine_cpus(machine)
+    cpus = machine.cpus
     assert sum(cpu.busy_cycles for cpu in cpus) > 0
     assert led.verify(cpus) == []
     # Every dimension is populated: stages were pushed, flows classified,
@@ -94,16 +89,14 @@ def test_ledger_reconciles_exactly_on_every_machine_type(config_fn, opt):
 
 
 def test_ledger_reconciles_on_mq4_rig():
-    from repro.mq.workload import build_mq_stream_rig
-
     obs.configure(ledger=True)
     with obs_runtime.observe("mq4") as o:
-        sim, machine, _clients, _senders = build_mq_stream_rig(
+        sim, machine, _clients, _senders = build_stream_rig(
             linux_smp_config(), OptimizationConfig.optimized(), queues=4
         )
         bind_ledger(o, 0.025, {5001: "stream"})
         sim.run(until=0.05)
-    cpus = _machine_cpus(machine)
+    cpus = machine.cpus
     assert len(cpus) == 4
     assert o.ledger.verify(cpus) == []
 

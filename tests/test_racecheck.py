@@ -20,9 +20,8 @@ from repro.analysis.racecheck import RaceChecker, RaceReport
 from repro.core.config import OptimizationConfig
 from repro.host.client import ClientHost
 from repro.host.configs import linux_smp_config, linux_up_config
+from repro.host.machine import ReceiverMachine
 from repro.mq.costs import CrossCpuCostModel
-from repro.mq.machine import MqReceiverMachine
-from repro.mq.workload import run_mq_stream_experiment
 from repro.net.addresses import ip_from_str
 from repro.sim.engine import Simulator
 from repro.tcp.connection import TcpConfig
@@ -45,7 +44,7 @@ def build_tampered_rig(queues=2, n_conns=10, nbytes=50_000):
     """A multi-queue rig whose CrossCpuCostModel charges nothing: every
     cross-CPU socket touch is a race the checker must catch."""
     sim = Simulator()
-    machine = MqReceiverMachine(
+    machine = ReceiverMachine(
         sim, fast_config(n_nics=1), OptimizationConfig.optimized(),
         queues=queues, steering="rss", ip=SERVER,
         cross=CrossCpuCostModel(
@@ -219,12 +218,12 @@ class TestReconciliation:
 class TestInstall:
     def test_install_uninstall_restores_classes(self):
         sim_init = Simulator.__init__
-        machine_init = MqReceiverMachine.__init__
+        machine_init = ReceiverMachine.__init__
         handle = racecheck.install()
         assert Simulator.__init__ is not sim_init
         racecheck.uninstall(handle)
         assert Simulator.__init__ is sim_init
-        assert MqReceiverMachine.__init__ is machine_init
+        assert ReceiverMachine.__init__ is machine_init
         assert not racecheck.is_installed()
 
     def test_install_is_idempotent(self):
@@ -241,7 +240,7 @@ def _run_mq(**overrides):
         queues=4, steering="rss", n_connections=50, duration=0.02, warmup=0.01
     )
     kwargs.update(overrides)
-    result = run_mq_stream_experiment(
+    result = run_stream_experiment(
         linux_smp_config(), OptimizationConfig.optimized(), **kwargs
     )
     return (
@@ -328,7 +327,7 @@ class TestTamper:
 class TestOwnershipMap:
     def test_static_table_matches_queue_layout(self):
         sim = Simulator()
-        machine = MqReceiverMachine(
+        machine = ReceiverMachine(
             sim, fast_config(n_nics=1), OptimizationConfig.optimized(),
             queues=4, steering="rss", ip=SERVER,
         )
@@ -337,7 +336,7 @@ class TestOwnershipMap:
         table = dict(machine.ownership_map())
         for q in range(4):
             assert table[f"{machine.nics[0].name}.q{q} ring"] == q
-            assert table[f"{machine.drivers[0][q].name} softirq"] == q
+            assert table[f"{machine.drivers[q].name} softirq"] == q
         # One aggregation engine per queue, owned by that queue's CPU.
         aggr_owners = sorted(
             owner for name, owner in table.items() if "aggr" in name

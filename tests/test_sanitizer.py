@@ -82,9 +82,14 @@ class FakeKernel:
 class FakeMachine:
     def __init__(self):
         self.kernel = FakeKernel()
+        self.cpus = []
         self.clients = []
         self.drivers = []
         self.nics = []
+        self.aggregators = []
+        self.governors = []
+        self.repairs = []
+        self.links = []
 
 
 def make_sanitized(conn=None):
@@ -454,7 +459,7 @@ class TestFaultInvariantTampering:
 
     def test_governor_transition_tamper_caught(self):
         def corrupt(machine):
-            machine.governor.stats.enters += 1  # flag no longer matches
+            machine.governors[0].stats.enters += 1  # flag no longer matches
 
         with pytest.raises(InvariantViolation, match="transition accounting"):
             self._run_with_corruption(corrupt, opt=OptimizationConfig.resilient())
@@ -494,7 +499,7 @@ class TestFaultInvariantTampering:
 
     def test_governor_sort_boundary_tamper_caught(self):
         def corrupt(machine):
-            machine.governor.stats.sort_enters += 1  # mode no longer matches
+            machine.governors[0].stats.sort_enters += 1  # mode no longer matches
 
         with pytest.raises(InvariantViolation, match="sort-boundary accounting"):
             self._run_with_corruption(

@@ -53,6 +53,27 @@ def test_unmodelled_knob_rejected(knob, config, opt):
         XenReceiverMachine(Simulator(), config, opt)
 
 
+def test_multi_queue_xen_rig_rejected():
+    from repro.workloads.stream import build_stream_rig
+
+    with pytest.raises(ValueError, match="queues=2"):
+        build_stream_rig(fast_xen_config(), OptimizationConfig.baseline(), queues=2)
+
+
+def test_many_connection_rig_batches_xen_links():
+    """The many-connection workload's link batching reaches the Xen rig's
+    links in both directions, as it does the native rig's."""
+    from repro.workloads.many import ManyConnWorkload, build_many_connection_rig
+
+    wl = ManyConnWorkload(n_connections=4)
+    _sim, machine, _clients, _driver = build_many_connection_rig(
+        fast_xen_config(), OptimizationConfig.baseline(), wl
+    )
+    links = machine.links + [nic.tx_link for nic in machine.nics]
+    assert wl.batch_window_s > 0
+    assert [link.batch_window_s for link in links] == [wl.batch_window_s] * 2
+
+
 def test_xen_transfer_integrity_baseline():
     machine, sock = run_xen_transfer(OptimizationConfig.baseline())
     assert sock.bytes_received == 150_000
