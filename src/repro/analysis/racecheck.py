@@ -216,7 +216,7 @@ class RaceChecker:
         )
 
     def tag_socket(self, sock, owner: int) -> None:
-        """Socket pinned at accept time (called by MqKernel._accept_socket)."""
+        """Socket pinned at accept time (called by ``Kernel._demux``)."""
         self.tag(sock, owner, f"socket {getattr(sock.conn, 'name', sock)}")
 
     def handoff(self, obj: object, new_owner: int) -> None:

@@ -1,4 +1,5 @@
-"""cross-cpu-write: shared-state writes in ``mq/`` must pay the cross-CPU toll.
+"""cross-cpu-write: shared-state writes in the multi-CPU kernel must pay the
+cross-CPU toll.
 
 The multi-queue model's credibility rests on mechanistic accounting: state
 that more than one CPU context can reach is exactly the state whose
@@ -7,11 +8,14 @@ that neither charges the :class:`~repro.mq.costs.CrossCpuCostModel` nor
 performs an explicit CPU switch is "free performance" — the Figure 7/12
 gap quietly shrinks.
 
-Mechanics: the rule finds every *context root* in ``mq/`` — a function
-that switches the kernel's current CPU (``enter_cpu`` callers and
+Scope: ``mq/`` and ``host/kernel.py`` — the one kernel that runs on every
+CPU, and the per-queue softirq ports that enter it.
+
+Mechanics: the rule finds every *context root* in scope — a function that
+switches the kernel's current CPU (``enter_cpu`` callers and
 ``_current_idx`` writers: softirq ports, the app drain, timer trampolines)
 — classifies each root's context kind by name, and floods the kinds
-through the call graph.  A ``mq/`` function reachable from two or more
+through the call graph.  An in-scope function reachable from two or more
 distinct kinds is running on behalf of more than one CPU context; if it
 writes attributes of a foreign object (not ``self``, not an object it
 just constructed) without referencing the cost model or switching CPUs
@@ -30,6 +34,9 @@ from typing import Dict, Iterable, Iterator, Set
 from repro.analysis.simlint.core import ProgramRule, Violation
 from repro.analysis.simlint.program import FunctionInfo, ProgramIndex
 
+#: Where CPU-switching code lives: the kernel and the per-queue ports.
+SCOPE = ("/mq/", "/host/kernel.py")
+
 
 def _context_kind(info: FunctionInfo) -> str:
     name = info.name
@@ -45,14 +52,14 @@ def _context_kind(info: FunctionInfo) -> str:
 class CrossCpuWriteRule(ProgramRule):
     id = "cross-cpu-write"
     summary = (
-        "mq/ state reachable from >1 CPU context must not be written "
-        "without a CrossCpuCostModel charge or an explicit CPU switch"
+        "multi-CPU kernel state reachable from >1 CPU context must not be "
+        "written without a CrossCpuCostModel charge or an explicit CPU switch"
     )
 
     def check_program(self, index: ProgramIndex) -> Iterator[Violation]:
         roots = [
             info
-            for info in index.functions_in("/mq/")
+            for info in index.functions_in(*SCOPE)
             if info.switches_cpu and info.name != "enter_cpu"
         ]
         kinds: Dict[str, Set[str]] = {}
@@ -61,7 +68,7 @@ class CrossCpuWriteRule(ProgramRule):
             for reached in index.reachable([root.qualname]):
                 kinds.setdefault(reached.qualname, set()).add(kind)
 
-        for info in sorted(index.functions_in("/mq/"), key=lambda f: f.qualname):
+        for info in sorted(index.functions_in(*SCOPE), key=lambda f: f.qualname):
             if len(kinds.get(info.qualname, ())) < 2:
                 continue
             if info.switches_cpu or info.references_cross:

@@ -13,9 +13,10 @@ out is exactly the latency budget the sort spends.
 
 Placement: the driver owns one buffer per queue and routes drained packets
 through :meth:`process` before ``aggregator.enqueue`` — the same seam at
-every queue count (via the kernel with one queue, via the per-queue
-:class:`~repro.mq.kernel.SoftirqPort` with more), so all repair work
-happens on the CPU that owns the queue (no cross-CPU traffic).
+every queue count (the driver hands off to the kernel directly with one
+queue, and through the per-queue :class:`~repro.mq.kernel.SoftirqPort`,
+which enters the queue's CPU, with more), so all repair work happens on
+the CPU that owns the queue (no cross-CPU traffic).
 
 Cost model: every probe, sorted insert, and release is charged through
 ``Cpu.consume`` under :attr:`~repro.cpu.categories.Category.REPAIR`, inside

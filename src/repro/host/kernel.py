@@ -9,12 +9,31 @@ The kernel also implements the transport interface of
 :class:`repro.tcp.connection.TcpConnection`, which is where Acknowledgment
 Offload plugs in: a batch of consecutive ACKs becomes a single template-ACK
 sk_buff (§4) when the optimization is enabled.
+
+One kernel runs on a list of CPUs; the paper's machine is the one-CPU
+case.  ``cpu`` is the CPU executing kernel code right now, and only
+:meth:`Kernel.enter_cpu` moves it.  Execution contexts pick their CPU so:
+
+* **Softirq** — each receive queue's driver enters its queue's CPU around
+  the softirq body (:class:`~repro.mq.kernel.SoftirqPort`; with one queue
+  the driver calls the kernel directly and CPU 0 is current).
+* **Application** — each accepted socket is pinned round-robin to an
+  ``app_cpu_index``; :meth:`Kernel.app_drain` drains it there, charging
+  IPI + remote-wakeup cycles when that is not the softirq's CPU.
+* **Timers** — :class:`KernelTimers` fire on the CPU that armed them
+  (Linux timers stay on their arming CPU).
+
+Cross-CPU traffic is charged mechanistically (see :mod:`repro.mq.costs`):
+a demux that lands on a socket consumed by another CPU pays cache-line
+bounce cycles, and a cross-CPU wakeup pays IPI + remote-wakeup cycles, all
+in ``Category.XCPU``.  With one CPU every socket is pinned to CPU 0, so
+none of it ever runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.buffers.pool import BufferPool
 from repro.buffers.skbuff import SkBuff
@@ -23,6 +42,8 @@ from repro.cpu.categories import Category
 from repro.cpu.cpu import Cpu
 from repro.host.configs import OptimizationConfig, SystemConfig
 from repro.mem.zerocopy import ZcrxStats, zcrx_item_cycles
+from repro.mq.costs import CrossCpuCostModel
+from repro.mq.steering import SteeringPolicy
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
 from repro.obs.ledger import UNATTRIBUTED
@@ -36,38 +57,51 @@ RECV_CHUNK = 16384
 
 
 class KernelTimers:
-    """TCP timers that fire as CPU tasks (serialized with packet work)."""
+    """TCP timers that fire as tasks on the CPU that armed them
+    (serialized with that CPU's packet work)."""
 
-    def __init__(self, sim: Simulator, cpu: Cpu):
+    def __init__(self, sim: Simulator, kernel: "Kernel"):
         self.sim = sim
-        self.cpu = cpu
+        self.kernel = kernel
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> "_KernelTimerHandle":
-        return _KernelTimerHandle(self, delay, fn)
+        return _KernelTimerHandle(self, delay, fn, self.kernel._current_idx)
 
 
 class _KernelTimerHandle:
-    __slots__ = ("timers", "fn", "cancelled", "event")
+    __slots__ = ("timers", "fn", "cancelled", "event", "cpu_index")
 
-    def __init__(self, timers: KernelTimers, delay: float, fn: Callable[[], None]):
+    def __init__(self, timers: KernelTimers, delay: float, fn: Callable[[], None], cpu_index: int):
         self.timers = timers
         self.fn = fn
         self.cancelled = False
+        self.cpu_index = cpu_index
         self.event = timers.sim.schedule(delay, self._fire)
 
     def _fire(self) -> None:
         if not self.cancelled:
-            self.timers.cpu.submit(self._run)
+            self.timers.kernel.cpus[self.cpu_index].submit(self._run)
 
     def _run(self) -> None:
-        if not self.cancelled:
+        if self.cancelled:
+            return
+        kernel = self.timers.kernel
+        prev = kernel.enter_cpu(self.cpu_index)
+        try:
             self.fn()
+        finally:
+            kernel.enter_cpu(prev)
 
     def postpone(self, delay: float) -> bool:
         """Move the deadline later in place (see :meth:`Event.postpone`);
-        False once the timer has fired, been cancelled, or would move
-        earlier.  No CPU task is ever submitted at the old deadline."""
-        return self.event.postpone(delay)
+        the timer then fires on the CPU that re-armed it, as a freshly
+        scheduled one would.  False once the timer has fired, been
+        cancelled, or would move earlier.  No CPU task is ever submitted at
+        the old deadline."""
+        if not self.event.postpone(delay):
+            return False
+        self.cpu_index = self.timers.kernel._current_idx
+        return True
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -101,8 +135,8 @@ class KernelSocket:
         self.pending_items: List[Tuple[int, int, Optional[tuple]]] = []
         #: Sum of the bytes in ``pending_items``.
         self.pending_item_bytes = 0
-        #: CPU the application runs on (set by the multi-queue kernel).
-        self.app_cpu_index: Optional[int] = None
+        #: CPU the application runs on (pinned by the kernel at accept).
+        self.app_cpu_index = 0
         self.bytes_received = 0
         self.established = False
         self.remote_closed = False
@@ -145,29 +179,45 @@ class KernelSocket:
 
 
 class Kernel:
-    """The receive host's network stack, socket layer, and app drain."""
+    """The receive host's network stack, socket layer, and app drain, on
+    ``cpus`` (one CPU is the paper's machine)."""
 
     def __init__(
         self,
         sim: Simulator,
-        cpu: Cpu,
+        cpus: Sequence[Cpu],
         config: SystemConfig,
         opt: OptimizationConfig,
+        steering: Optional[SteeringPolicy] = None,
+        cross: Optional[CrossCpuCostModel] = None,
         pool: Optional[BufferPool] = None,
         name: str = "kernel",
     ):
+        if not cpus:
+            raise ValueError("Kernel needs at least one CPU")
         self.sim = sim
-        self.cpu = cpu
+        self.cpus = list(cpus)
+        #: The CPU executing kernel code now (softirq, application or
+        #: timer) and its index; only :meth:`enter_cpu` moves them.
+        self.cpu = self.cpus[0]
+        self._current_idx = 0
+        self.steering = steering
+        self.cross = cross if cross is not None else CrossCpuCostModel()
+        self._next_app_cpu = 0
+        #: Race checker seam (None unless --racecheck): same idiom as the
+        #: tracer's ``_tr`` — one attribute load on the charged paths.
+        self._rc = None
         self.config = config
         self.opt = opt
         self.pool = pool if pool is not None else BufferPool(name=f"{name}-skb")
         self.name = name
-        self.timers = KernelTimers(sim, cpu)
+        self.timers = KernelTimers(sim, self)
 
         self.connections: Dict[FlowKey, TcpConnection] = {}
         self.sockets: Dict[FlowKey, KernelSocket] = {}
         self.listeners: Dict[int, Callable[[KernelSocket], None]] = {}
-        self.routes: Dict[int, object] = {}  # dst ip -> driver
+        #: dst ip -> one transmit driver per CPU (MSI-X tx/rx pairing).
+        self.routes: Dict[int, List[object]] = {}
         self.ip: int = 0
         self._iss = 5_000_000
         self._dirty_sockets: List[KernelSocket] = []
@@ -211,8 +261,23 @@ class Kernel:
     def set_ip(self, ip: int) -> None:
         self.ip = ip
 
-    def register_route(self, dst_ip: int, driver) -> None:
-        self.routes[dst_ip] = driver
+    def enter_cpu(self, index: int) -> int:
+        """Switch kernel execution to ``cpus[index]``; returns the previous
+        index so callers can restore it."""
+        prev = self._current_idx
+        self._current_idx = index
+        self.cpu = self.cpus[index]
+        return prev
+
+    def register_route(self, dst_ip: int, drivers: Sequence[object]) -> None:
+        """Route ``dst_ip`` through one transmit driver per CPU; the sending
+        CPU uses its own queue's driver."""
+        if len(drivers) != len(self.cpus):
+            raise ValueError(
+                f"{self.name}: route needs one driver per CPU "
+                f"({len(self.cpus)}), got {len(drivers)}"
+            )
+        self.routes[dst_ip] = list(drivers)
 
     def listen(self, port: int, on_accept: Optional[Callable[[KernelSocket], None]] = None) -> None:
         """Accept connections on ``port``; ``on_accept(socket)`` lets the
@@ -262,17 +327,20 @@ class Kernel:
                 args={"skbs": len(skbs)},
             )
 
-    def softirq_aggregated(self) -> None:
-        """Optimized path: run the aggregation engine over its queue."""
+    def softirq_aggregated(self, aggregator=None) -> None:
+        """Optimized path: run an aggregation engine over its queue — the
+        kernel's own, or the receive queue's a :class:`SoftirqPort` passes."""
+        if aggregator is None:
+            aggregator = self.aggregator
         tr = self._tr
         if tr is not None:
             t0 = max(self.cpu.busy_until, self.sim.now)
-            n_in = len(self.aggregator.queue)
+            n_in = len(aggregator.queue)
         led = self._led
         if led is not None:
             led.push_stage("softirq")
         self.cpu.consume(self.cpu.costs.softirq_dispatch, Category.MISC)
-        self.aggregator.run()
+        aggregator.run()
         self.app_drain()
         if led is not None:
             led.pop_stage()
@@ -284,6 +352,11 @@ class Kernel:
                 tid=cpu_tid(self.cpu),
                 args={"pkts": n_in},
             )
+
+    #: The same body under the name :class:`~repro.mq.kernel.SoftirqPort`
+    #: calls, so per-queue softirqs stay countable apart from the one-queue
+    #: path (perfbench's ``mq`` layer wraps ``MqKernel.run_aggregator``).
+    run_aggregator = softirq_aggregated
 
     # ------------------------------------------------------------------
     # host-packet delivery (the network stack proper)
@@ -373,7 +446,10 @@ class Kernel:
                     # the app drain run in the same softirq, so no DMA can
                     # interleave — warmth loss is decided by the DMA-to-
                     # softirq latency (ITR batching pressure), not here.
-                    consumer = self._mem_node_of(sock)
+                    topology = self.topology
+                    consumer = (
+                        0 if topology is None else topology.node_of_cpu(sock.app_cpu_index)
+                    )
                     meminfo = mem.consume_skb(skb, consumer)
                     if skb.pool is not None and skb.pool.node != consumer:
                         consume(mem.remote_skb_touch_cycles(), Category.BUFFER)
@@ -407,121 +483,162 @@ class Kernel:
         key = FlowKey(pkt.ip.dst_ip, pkt.tcp.dst_port, pkt.ip.src_ip, pkt.tcp.src_port)
         conn = self.connections.get(key)
         if conn is not None:
-            return conn, self.sockets.get(key)
-        on_accept = self.listeners.get(pkt.tcp.dst_port)
-        if on_accept is None:
-            return None, None
-        conn = TcpConnection(
-            key=key,
-            config=self.default_tcp_config(),
-            clock=self._clock,
-            timers=self.timers,
-            transport=self,
-            iss=self._next_iss(),
-            name=f"{self.name}:accept:{key.dst_port}",
-        )
-        conn.passive_open()
-        if self.packet_slab is not None:
-            conn._template.slab = self.packet_slab
-        sock = self._accept_socket(key, conn)
-        self.connections[key] = conn
-        self.sockets[key] = sock
-        on_accept(sock)
+            sock = self.sockets.get(key)
+        else:
+            on_accept = self.listeners.get(pkt.tcp.dst_port)
+            if on_accept is None:
+                return None, None
+            conn = TcpConnection(
+                key=key,
+                config=self.default_tcp_config(),
+                clock=self._clock,
+                timers=self.timers,
+                transport=self,
+                iss=self._next_iss(),
+                name=f"{self.name}:accept:{key.dst_port}",
+            )
+            conn.passive_open()
+            if self.packet_slab is not None:
+                conn._template.slab = self.packet_slab
+            # Pin the socket to an application CPU, round-robin.
+            sock = KernelSocket(self, conn)
+            index = self._next_app_cpu % len(self.cpus)
+            self._next_app_cpu += 1
+            sock.app_cpu_index = index
+            if self.steering is not None:
+                # ``key`` is the local 4-tuple; the NIC steers on the wire
+                # (client -> server) direction, which is its reverse.
+                self.steering.note_consumer(key.reverse(), index)
+            if self._rc is not None:
+                self._rc.tag_socket(sock, index)
+            self.connections[key] = conn
+            self.sockets[key] = sock
+            on_accept(sock)
+        if sock is not None and sock.app_cpu_index != self._current_idx:
+            # The connection's hot state was last touched on the consuming
+            # CPU: pull it across caches (§2.3's contention, priced per
+            # line instead of as a blanket factor).
+            self.cpu.consume(self.cross.bounce_cycles(), Category.XCPU)
+            if self._rc is not None:
+                self._rc.note_socket_access(sock, self._current_idx, "demux")
+            tr = self._tr
+            if tr is not None:
+                tr.event(
+                    Stage.XCPU_BOUNCE,
+                    max(self.cpu.busy_until, self.sim.now),
+                    tid=cpu_tid(self.cpu),
+                    args={"app_cpu": sock.app_cpu_index},
+                )
         return conn, sock
-
-    def _accept_socket(self, key: FlowKey, conn: TcpConnection) -> KernelSocket:
-        """Create the socket for a newly accepted connection.  Hook point:
-        the multi-queue kernel overrides this to pin the socket to an
-        application CPU and program flow steering."""
-        return KernelSocket(self, conn)
-
-    def _mem_node_of(self, sock: KernelSocket) -> int:
-        """NUMA node of the CPU that consumes ``sock``'s data.  The
-        single-CPU kernel lives on node 0; the multi-queue kernel maps the
-        socket's application CPU through the topology."""
-        return 0
 
     # ------------------------------------------------------------------
     # application drain (end of softirq)
     # ------------------------------------------------------------------
     def app_drain(self) -> None:
-        """Wake the receiving process(es) and copy pending data to user space."""
+        """Wake the receiving processes and copy pending data to user space.
+
+        Each socket drains on its application CPU; one pinned to another
+        CPU than the softirq's pays an IPI here and a remote wakeup there.
+        """
         if not self._dirty_sockets:
             return
-        costs = self.cpu.costs
-        consume = self.cpu.consume
+        softirq_idx = self._current_idx
         led = self._led
         if led is not None:
             led.push_stage("sock_read")
             prev_flow = led.set_flow(UNATTRIBUTED)
-        consume(costs.wakeup, Category.MISC)
+        self.cpu.consume(self.cpu.costs.wakeup, Category.MISC)
         tr = self._tr
         dirty, self._dirty_sockets = self._dirty_sockets, []
-        for sock in dirty:
-            sock.dirty = False
-            if led is not None:
-                # Server-side connection keys are reversed (src = this
-                # host), so the service port classifying the flow is
-                # the key's *source* port.
-                led.set_flow(led.flow_for_port(sock.conn.key.src_port))
-            nbytes = sock.pending_bytes
-            if nbytes <= 0:
-                continue
-            if tr is not None:
-                t0 = max(self.cpu.busy_until, self.sim.now)
-            syscalls = max(1, math.ceil(nbytes / RECV_CHUNK))
-            consume(costs.syscall * syscalls, Category.MISC)
-            if self.opt.zero_copy:
-                zc = self.zcrx
-                for item_bytes, extra_frags, meminfo in sock.pending_items:
-                    cycles, pages, cold = zcrx_item_cycles(costs, item_bytes, meminfo)
-                    consume(cycles, Category.PER_BYTE)
-                    zc.skbs += 1
-                    zc.pages_mapped += pages
-                    zc.cold_pages += cold
-            else:
-                mem = self.mem
-                for item_bytes, extra_frags, meminfo in sock.pending_items:
-                    if meminfo is None:
-                        cycles = costs.copy_cycles(item_bytes)
-                    else:
-                        cycles = mem.copy_cycles(
-                            item_bytes, meminfo, costs.cache.copy_cycles_per_byte
+        try:
+            for sock in dirty:
+                sock.dirty = False
+                nbytes = sock.pending_bytes
+                if nbytes <= 0:
+                    continue
+                if led is not None:
+                    # Server-side keys are reversed: src port = service port.
+                    led.set_flow(led.flow_for_port(sock.conn.key.src_port))
+                app_idx = sock.app_cpu_index
+                if app_idx != softirq_idx:
+                    # Cross-CPU wakeup: IPI from the softirq CPU, interrupt
+                    # entry + schedule on the application's CPU.
+                    self.cpus[softirq_idx].consume(self.cross.ipi_cycles, Category.XCPU)
+                    self.enter_cpu(app_idx)
+                    self.cpu.consume(self.cross.remote_wakeup_cycles, Category.XCPU)
+                    if self._rc is not None:
+                        self._rc.note_socket_access(sock, softirq_idx, "app wakeup")
+                    if tr is not None:
+                        tr.event(
+                            Stage.XCPU_WAKEUP,
+                            max(self.cpu.busy_until, self.sim.now),
+                            tid=app_idx,
+                            args={"from_cpu": softirq_idx},
                         )
-                    consume(
-                        cycles + costs.copy_setup_per_fragment * extra_frags,
-                        Category.PER_BYTE,
+                if tr is not None:
+                    t0 = max(self.cpu.busy_until, self.sim.now)
+                costs = self.cpu.costs
+                consume = self.cpu.consume
+                syscalls = max(1, math.ceil(nbytes / RECV_CHUNK))
+                consume(costs.syscall * syscalls, Category.MISC)
+                if self.opt.zero_copy:
+                    zc = self.zcrx
+                    for item_bytes, extra_frags, meminfo in sock.pending_items:
+                        cycles, pages, cold = zcrx_item_cycles(costs, item_bytes, meminfo)
+                        consume(cycles, Category.PER_BYTE)
+                        zc.skbs += 1
+                        zc.pages_mapped += pages
+                        zc.cold_pages += cold
+                else:
+                    mem = self.mem
+                    for item_bytes, extra_frags, meminfo in sock.pending_items:
+                        if meminfo is None:
+                            cycles = costs.copy_cycles(item_bytes)
+                        else:
+                            cycles = mem.copy_cycles(
+                                item_bytes, meminfo, costs.cache.copy_cycles_per_byte
+                            )
+                        consume(
+                            cycles + costs.copy_setup_per_fragment * extra_frags,
+                            Category.PER_BYTE,
+                        )
+                        self.copy_charged_items += 1
+                pending, sock.pending = sock.pending, []
+                sock.pending_items = []
+                sock.pending_item_bytes = 0
+                sock.pending_bytes = 0
+                sock.bytes_received += nbytes
+                # mark_read may emit a window update: it is sent from the
+                # application's CPU (Linux: from the syscall context).
+                sock.conn.mark_read(nbytes)
+                if tr is not None:
+                    tr.event(
+                        Stage.SOCK_READ,
+                        t0,
+                        max(0.0, self.cpu.busy_until - t0),
+                        tid=app_idx,
+                        args={"bytes": nbytes},
                     )
-                    self.copy_charged_items += 1
-            pending, sock.pending = sock.pending, []
-            sock.pending_items = []
-            sock.pending_item_bytes = 0
-            sock.pending_bytes = 0
-            sock.bytes_received += nbytes
-            sock.conn.mark_read(nbytes)
-            if tr is not None:
-                tr.event(
-                    Stage.SOCK_READ,
-                    t0,
-                    max(0.0, self.cpu.busy_until - t0),
-                    tid=cpu_tid(self.cpu),
-                    args={"bytes": nbytes},
-                )
-            if sock.on_data_cb is not None:
-                for payload, length in pending:
-                    sock.on_data_cb(sock, payload, length)
-        if led is not None:
-            led.pop_stage()
-            led.set_flow(prev_flow)
+                if sock.on_data_cb is not None:
+                    for payload, length in pending:
+                        sock.on_data_cb(sock, payload, length)
+                if app_idx != softirq_idx:
+                    self.enter_cpu(softirq_idx)
+        finally:
+            if self._current_idx != softirq_idx:
+                self.enter_cpu(softirq_idx)
+            if led is not None:
+                led.pop_stage()
+                led.set_flow(prev_flow)
 
     # ------------------------------------------------------------------
     # transport interface (costed transmit paths)
     # ------------------------------------------------------------------
     def _driver_for(self, conn: TcpConnection):
-        driver = self.routes.get(conn.key.dst_ip)
-        if driver is None:
+        drivers = self.routes.get(conn.key.dst_ip)
+        if drivers is None:
             raise RuntimeError(f"{self.name}: no route to {conn.key.dst_ip}")
-        return driver
+        return drivers[self._current_idx]
 
     def send_packet(self, conn: TcpConnection, pkt: Packet) -> None:
         """Data/control segment transmit path (handshake, responses, FIN)."""

@@ -23,7 +23,10 @@ Pro/1000 cards each cabled to one sender machine).
   arriving frame.  Instead of the paper's blanket SMP lock inflation the
   CPUs run the residual :func:`~repro.mq.costs.mq_lock_model`, and
   cross-CPU traffic is charged by :class:`~repro.mq.costs.CrossCpuCostModel`
-  (see :mod:`repro.mq.kernel`).
+  (see :mod:`repro.host.kernel`).
+
+Either way one :class:`~repro.host.kernel.Kernel` runs on the machine's
+``cpus``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from repro.host.kernel import Kernel
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.topology import NumaTopology
 from repro.mq.costs import CrossCpuCostModel, mq_lock_model
-from repro.mq.kernel import MqKernel, SoftirqPort
+from repro.mq.kernel import SoftirqPort
 from repro.mq.steering import SteeringPolicy, make_policy
 from repro.net.addresses import ip_from_str
 from repro.nic.lro import LroEngine
@@ -54,7 +57,7 @@ from repro.sim.link import Link
 
 def _repair_sink(kernel):
     """Deadline-release path for a repair buffer: the same enqueue + softirq
-    kick the driver's ISR performs (works for the UP kernel and for the mq
+    kick the driver's ISR performs (works for the kernel itself and for a
     per-queue :class:`~repro.mq.kernel.SoftirqPort` alike)."""
 
     def sink(pkts):
@@ -190,7 +193,6 @@ class ReceiverMachine(ReceiverBase):
                 steering if isinstance(steering, SteeringPolicy)
                 else make_policy(steering, queues)
             )
-            cross = cross if cross is not None else CrossCpuCostModel()
             self.cpus.extend(
                 Cpu(sim, config.cpu_freq_hz, costs=config.costs, locks=mq_lock_model(),
                     name=f"{name}-cpu{i}")
@@ -204,13 +206,10 @@ class ReceiverMachine(ReceiverBase):
         #: by connection templates instead of reallocated.
         self.packet_slab = PacketSlab()
         self.pool.slab = self.packet_slab
-        if queues == 1:
-            self.kernel = Kernel(sim, self.cpu, config, opt, pool=self.pool, name=name)
-        else:
-            self.kernel = MqKernel(
-                sim, self.cpus, config, opt, steering=self.steering, cross=cross,
-                pool=self.pool, name=name,
-            )
+        self.kernel = Kernel(
+            sim, self.cpus, config, opt, steering=self.steering, cross=cross,
+            pool=self.pool, name=name,
+        )
         self.kernel.packet_slab = self.packet_slab
         self.kernel.set_ip(self.ip)
         #: Memory hierarchy + NUMA placement (None unless ``config.mem`` —
@@ -338,7 +337,7 @@ class ReceiverMachine(ReceiverBase):
         if client.packet_slab is None:
             client.packet_slab = self.packet_slab
         # The sending CPU uses its own queue's driver (MSI-X tx/rx pairing).
-        self.kernel.register_route(client.ip, nic_drivers if self.queues > 1 else nic_drivers[0])
+        self.kernel.register_route(client.ip, nic_drivers)
         self.drivers.extend(nic_drivers)
         return nic
 
@@ -347,8 +346,8 @@ class ReceiverMachine(ReceiverBase):
         """The static part of the rig's CPU-ownership table: (component,
         owning CPU index) for every ring, aggregation engine, repair stage
         and softirq path.  Sockets join the table dynamically at accept
-        time (see :meth:`MqKernel._accept_socket` and
-        :mod:`repro.analysis.racecheck`, which enforces the table at run
+        time (see :meth:`Kernel._demux <repro.host.kernel.Kernel._demux>`
+        and :mod:`repro.analysis.racecheck`, which enforces the table at run
         time on machines with more than one CPU).
         """
         owner = {id(cpu): i for i, cpu in enumerate(self.cpus)}

@@ -10,13 +10,15 @@ Modules
 ``rss``       Toeplitz hash + 128-entry indirection table (spec-exact).
 ``steering``  Pluggable policies: static RSS vs aRFS-style flow steering.
 ``costs``     Mechanistic cross-CPU costs + residual SMP lock model.
-``kernel``    The base kernel generalized to N CPUs (softirq/app/timer
-              contexts each pick their CPU; cross-CPU traffic is charged).
+``kernel``    ``SoftirqPort``: one receive queue's softirq entry into the
+              kernel (:class:`repro.host.kernel.Kernel`, which runs on
+              every CPU), made on the queue's CPU.
 ``workload``  ``build_mq_stream_rig``, a one-call shim over
               :func:`repro.workloads.stream.build_stream_rig`.
 
 The machine itself is :class:`repro.host.machine.ReceiverMachine` with
-``queues > 1``.
+``queues > 1``, running the one :class:`repro.host.kernel.Kernel` on its
+CPUs.
 """
 
 from repro.mq.costs import CrossCpuCostModel, mq_lock_model

@@ -89,7 +89,7 @@ class XenReceiverMachine(ReceiverBase):
 
         # The guest kernel is the unmodified costed kernel, running on the
         # guest CPU view with its own buffer pool.
-        self.kernel = Kernel(sim, self.guest_cpu, config, opt, pool=self.guest_pool, name=f"{name}-guest")
+        self.kernel = Kernel(sim, [self.guest_cpu], config, opt, pool=self.guest_pool, name=f"{name}-guest")
         self.kernel.set_ip(self.ip)
 
         self.driver_domain = DriverDomain(
@@ -158,7 +158,7 @@ class XenReceiverMachine(ReceiverBase):
             name=f"{self.name}-tx{index}",
         )
         self._cable(client, nic, drop_prob, reorder_prob, dup_prob, rng, batch_window_s)
-        self.kernel.register_route(client.ip, tx_path)
+        self.kernel.register_route(client.ip, [tx_path])
         self.drivers.append(driver)
         self.tx_paths.append(tx_path)
         return nic

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import OptimizationConfig
 from repro.cpu.cpu import Cpu
 from repro.host.client import ClientHost
-from repro.host.kernel import KernelTimers
+from repro.host.kernel import Kernel, KernelTimers
 from repro.host.machine import ReceiverMachine
 from repro.net.addresses import ip_from_str
 from repro.sim.engine import Simulator
@@ -114,9 +114,13 @@ def test_kernel_send_without_route_raises(sim):
 
 
 # ---------------------------------------------------------------- kernel timers
+def _kernel(sim, *cpus):
+    return Kernel(sim, cpus, fast_config(), OptimizationConfig.baseline())
+
+
 def test_kernel_timer_runs_as_cpu_task(sim):
     cpu = Cpu(sim, freq_hz=1e9)
-    timers = KernelTimers(sim, cpu)
+    timers = KernelTimers(sim, _kernel(sim, cpu))
     fired = []
     # Occupy the CPU so the timer callback is delayed behind packet work.
     cpu.submit(lambda: cpu.consume(5000, "misc"))
@@ -127,7 +131,7 @@ def test_kernel_timer_runs_as_cpu_task(sim):
 
 def test_kernel_timer_cancel_before_fire(sim):
     cpu = Cpu(sim)
-    timers = KernelTimers(sim, cpu)
+    timers = KernelTimers(sim, _kernel(sim, cpu))
     fired = []
     handle = timers.schedule(1e-3, lambda: fired.append(1))
     handle.cancel()
@@ -139,13 +143,60 @@ def test_kernel_timer_cancel_between_fire_and_run(sim):
     """Cancelling after the sim event fired but before the CPU task ran
     must still suppress the callback."""
     cpu = Cpu(sim, freq_hz=1e9)
-    timers = KernelTimers(sim, cpu)
+    timers = KernelTimers(sim, _kernel(sim, cpu))
     fired = []
     cpu.submit(lambda: cpu.consume(10000, "misc"))  # cpu busy 10 us
     handle = timers.schedule(1e-6, lambda: fired.append(1))
     sim.schedule(2e-6, handle.cancel)  # after fire, before task start
     sim.run(until=0.01)
     assert not fired
+
+
+def _spy_submits(cpu, log):
+    submit = cpu.submit
+
+    def spy(fn, *args):
+        log.append(cpu)
+        submit(fn, *args)
+
+    cpu.submit = spy
+
+
+def test_kernel_timer_fires_on_the_cpu_that_armed_it(sim):
+    cpus = [Cpu(sim, name="cpu0"), Cpu(sim, name="cpu1")]
+    kernel = _kernel(sim, *cpus)
+    submitted, seen = [], []
+    for cpu in cpus:
+        _spy_submits(cpu, submitted)
+    prev = kernel.enter_cpu(1)
+    kernel.timers.schedule(1e-3, lambda: seen.append(kernel.cpu))
+    kernel.enter_cpu(prev)
+    sim.run(until=0.01)
+    assert submitted == [cpus[1]]
+    assert seen == [cpus[1]]
+    # The timer task restored the CPU that was current before it ran.
+    assert kernel.cpu is cpus[0] and kernel._current_idx == 0
+
+
+def test_postponed_kernel_timer_moves_to_the_rearming_cpu(sim):
+    cpus = [Cpu(sim, name="cpu0"), Cpu(sim, name="cpu1")]
+    kernel = _kernel(sim, *cpus)
+    submitted, seen = [], []
+    for cpu in cpus:
+        _spy_submits(cpu, submitted)
+    kernel.enter_cpu(1)
+    handle = kernel.timers.schedule(1e-3, lambda: seen.append(kernel.cpu))
+
+    def rearm_on_cpu0():
+        prev = kernel.enter_cpu(0)
+        assert handle.postpone(1e-3)
+        kernel.enter_cpu(prev)
+
+    sim.schedule(0.5e-3, rearm_on_cpu0)
+    sim.run(until=0.01)
+    assert submitted == [cpus[0]]
+    assert seen == [cpus[0]]
+    assert kernel.cpu is cpus[1]
 
 
 def test_tcp_overrides_applied_to_accepted_connections(sim):

@@ -48,10 +48,10 @@ class FakeDriver:
 
 def make_kernel(sim, opt):
     cpu = Cpu(sim)
-    kernel = Kernel(sim, cpu, fast_config(), opt)
+    kernel = Kernel(sim, [cpu], fast_config(), opt)
     kernel.set_ip(SERVER)
     driver = FakeDriver(cpu)
-    kernel.register_route(CLIENT, driver)
+    kernel.register_route(CLIENT, [driver])
     kernel.listen(5001)
     return kernel, cpu, driver
 

@@ -223,8 +223,10 @@ def test_postponed_kernel_timer_submits_no_task_at_old_deadline(sim):
     """A kernel timer postpones its inner event: no CPU task is queued at
     the stale deadline, only one at the new one, and the callback runs
     once there."""
+    from repro.core.config import OptimizationConfig
     from repro.cpu.cpu import Cpu
-    from repro.host.kernel import KernelTimers
+    from repro.host.configs import linux_up_config
+    from repro.host.kernel import Kernel, KernelTimers
 
     cpu = Cpu(sim, freq_hz=1e9)
     submitted = []
@@ -236,7 +238,8 @@ def test_postponed_kernel_timer_submits_no_task_at_old_deadline(sim):
 
     cpu.submit = spy
     fired = []
-    handle = KernelTimers(sim, cpu).schedule(1e-3, lambda: fired.append(sim.now))
+    kernel = Kernel(sim, [cpu], linux_up_config(), OptimizationConfig.baseline())
+    handle = KernelTimers(sim, kernel).schedule(1e-3, lambda: fired.append(sim.now))
     sim.schedule(0.5e-3, lambda: handle.postpone(1e-3))
     sim.run(until=0.01)
     assert submitted == [pytest.approx(1.5e-3)]

@@ -228,11 +228,17 @@ class TestCrossCpuWrite:
         """)
 
     def test_outside_mq_exempt(self):
-        # Same shape, but not under mq/: the rule only patrols mq/.
+        # Same shape, but outside the rule's scope (mq/ and host/kernel.py).
         assert_clean(
             "cross-cpu-write",
             CROSS_CPU_BAD,
             relname="src/repro/analysis/fixture.py",
+        )
+
+    def test_host_kernel_patrolled(self):
+        # The one kernel that switches CPUs lives in host/kernel.py.
+        assert_fires(
+            "cross-cpu-write", CROSS_CPU_BAD, relname="src/repro/host/kernel.py"
         )
 
     def test_line_suppression_applies(self):
