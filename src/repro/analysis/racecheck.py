@@ -49,11 +49,11 @@ or ``python -m repro run ... --racecheck``, or ``REPRO_RACECHECK=1 pytest``
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.cpu.categories import Category
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, install_observer, uninstall_observer
 
 #: Frames of context kept per captured stack (innermost last).
 _STACK_LIMIT = 12
@@ -151,8 +151,9 @@ class RaceChecker:
     def watch_machine(self, machine) -> None:
         """Track a multi-queue machine: map its CPUs, observe their XCPU
         charges, tag its per-queue state, and catch components built by
-        later ``add_client`` calls."""
-        if machine in self.machines:
+        later ``add_client`` calls.  One-CPU machines are skipped: there
+        is no foreign owner to race with."""
+        if len(machine.cpus) < 2 or machine in self.machines:
             return
         self.machines.append(machine)
         for index, cpu in enumerate(machine.cpus):
@@ -346,57 +347,30 @@ class RaceChecker:
 # ----------------------------------------------------------------------
 # process-wide installation (mirrors repro.analysis.sanitizer)
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(eq=False)
 class _InstallHandle:
-    sim_init: Callable
-    machine_inits: List[Tuple[type, Callable]]
-    checkers: List[RaceChecker]
+    """The installed race checker: an observer factory giving every new
+    Simulator a :class:`RaceChecker`, collected in ``checkers``."""
+
+    checkers: List[RaceChecker] = field(default_factory=list)
+
+    def __call__(self, sim: Simulator) -> RaceChecker:
+        checker = RaceChecker(sim)
+        self.checkers.append(checker)
+        return checker
 
 
 _active_handle: Optional[_InstallHandle] = None
-
-
-def _machine_classes():
-    """Machine classes whose multi-CPU instances have cross-CPU ownership
-    to check."""
-    from repro.host.machine import ReceiverMachine
-
-    return (ReceiverMachine,)
 
 
 def install() -> _InstallHandle:
     """Race-check every Simulator and multi-queue machine created from now
     on.  Idempotent: a second call returns the active handle."""
     global _active_handle
-    if _active_handle is not None:
-        return _active_handle
-
-    sim_init = Simulator.__init__
-    handle = _InstallHandle(sim_init=sim_init, machine_inits=[], checkers=[])
-
-    def racechecked_sim_init(self) -> None:
-        sim_init(self)
-        handle.checkers.append(RaceChecker(self))
-
-    Simulator.__init__ = racechecked_sim_init
-
-    for cls in _machine_classes():
-        machine_init = cls.__init__
-        handle.machine_inits.append((cls, machine_init))
-
-        def racechecked_machine_init(self, sim, *args, _orig=machine_init, **kwargs):
-            _orig(self, sim, *args, **kwargs)
-            if len(self.cpus) < 2:
-                return
-            for checker in handle.checkers:
-                if checker.sim is sim:
-                    checker.watch_machine(self)
-                    break
-
-        cls.__init__ = racechecked_machine_init
-
-    _active_handle = handle
-    return handle
+    if _active_handle is None:
+        _active_handle = _InstallHandle()
+        install_observer(_active_handle)
+    return _active_handle
 
 
 def uninstall(handle: Optional[_InstallHandle] = None) -> None:
@@ -406,10 +380,7 @@ def uninstall(handle: Optional[_InstallHandle] = None) -> None:
         handle = _active_handle
     if handle is None:
         return
-
-    Simulator.__init__ = handle.sim_init
-    for cls, machine_init in handle.machine_inits:
-        cls.__init__ = machine_init
+    uninstall_observer(handle)
     if handle is _active_handle:
         _active_handle = None
 

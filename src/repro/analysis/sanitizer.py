@@ -49,11 +49,11 @@ the sanitizer is a debugging and CI tool, not a default.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.ack_offload import expand_template
 from repro.net.checksum import checksums_equivalent
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, install_observer, uninstall_observer
 from repro.tcp.state import TcpState
 
 _SEQ_MASK = 0xFFFFFFFF
@@ -655,26 +655,21 @@ class SimSanitizer:
 # ----------------------------------------------------------------------
 # process-wide installation
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(eq=False)
 class _InstallHandle:
-    sim_init: Callable
-    machine_inits: List[tuple] = field(default_factory=list)
+    """The installed sanitizer: an observer factory giving every new
+    Simulator a :class:`SimSanitizer`, collected in ``sanitizers``."""
+
+    deep_every: int
     sanitizers: List[SimSanitizer] = field(default_factory=list)
+
+    def __call__(self, sim: Simulator) -> SimSanitizer:
+        sanitizer = SimSanitizer(sim, deep_every=self.deep_every)
+        self.sanitizers.append(sanitizer)
+        return sanitizer
 
 
 _active_handle: Optional[_InstallHandle] = None
-
-
-def _machine_classes():
-    """Every machine class the sanitizer knows how to watch.
-
-    Both share :class:`~repro.host.machine.ReceiverBase`'s surface but
-    each has its own ``__init__``, so both are patched explicitly.
-    """
-    from repro.host.machine import ReceiverMachine
-    from repro.xen.machine import XenReceiverMachine
-
-    return (ReceiverMachine, XenReceiverMachine)
 
 
 def install(deep_every: int = DEEP_AUDIT_INTERVAL) -> _InstallHandle:
@@ -683,33 +678,10 @@ def install(deep_every: int = DEEP_AUDIT_INTERVAL) -> _InstallHandle:
     Idempotent: a second call returns the already-active handle.
     """
     global _active_handle
-    if _active_handle is not None:
-        return _active_handle
-
-    sim_init = Simulator.__init__
-    handle = _InstallHandle(sim_init=sim_init)
-
-    def sanitized_sim_init(self) -> None:
-        sim_init(self)
-        handle.sanitizers.append(SimSanitizer(self, deep_every=deep_every))
-
-    Simulator.__init__ = sanitized_sim_init
-
-    for cls in _machine_classes():
-        machine_init = cls.__init__
-        handle.machine_inits.append((cls, machine_init))
-
-        def sanitized_machine_init(self, sim, *args, _orig=machine_init, **kwargs):
-            _orig(self, sim, *args, **kwargs)
-            for sanitizer in handle.sanitizers:
-                if sanitizer.sim is sim:
-                    sanitizer.watch_machine(self)
-                    break
-
-        cls.__init__ = sanitized_machine_init
-
-    _active_handle = handle
-    return handle
+    if _active_handle is None:
+        _active_handle = _InstallHandle(deep_every)
+        install_observer(_active_handle)
+    return _active_handle
 
 
 def uninstall(handle: Optional[_InstallHandle] = None) -> None:
@@ -719,10 +691,7 @@ def uninstall(handle: Optional[_InstallHandle] = None) -> None:
         handle = _active_handle
     if handle is None:
         return
-
-    Simulator.__init__ = handle.sim_init
-    for cls, machine_init in handle.machine_inits:
-        cls.__init__ = machine_init
+    uninstall_observer(handle)
     if handle is _active_handle:
         _active_handle = None
 

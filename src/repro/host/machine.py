@@ -125,6 +125,12 @@ class ReceiverBase:
         self.clients.append(client)
         self.links.append(inbound)
 
+    def _announce(self) -> None:
+        """Hand the constructed machine to its simulator's observers (the
+        sanitizer and race checker, when installed)."""
+        for observer in self.sim.observers:
+            observer.watch_machine(self)
+
     def listen(self, port: int, on_accept=None) -> None:
         self.kernel.listen(port, on_accept)
 
@@ -236,6 +242,7 @@ class ReceiverMachine(ReceiverBase):
             self.kernel.aggregator = self._add_aggregator(
                 self.cpu, self.pool, self._governor, f"{name}-aggr"
             )
+        self._announce()
 
     def _add_governor(self, name: str) -> Optional[CoalesceGovernor]:
         if not self._governed:

@@ -42,6 +42,23 @@ _COMPACT_MIN_CANCELLED = 64
 
 _INF = float("inf")
 
+#: Observer factories of the installed run-time checkers (the invariant
+#: sanitizer, the race checker), in install order.
+_observer_factories: List[Callable[["Simulator"], Any]] = []
+
+
+def install_observer(factory: Callable[["Simulator"], Any]) -> None:
+    """Give every :class:`Simulator` built from now on one observer,
+    ``factory(sim)``; receiver machines hand themselves to it (its
+    ``watch_machine``) once constructed."""
+    _observer_factories.append(factory)
+
+
+def uninstall_observer(factory: Callable[["Simulator"], Any]) -> None:
+    """Stop ``factory`` observing new simulators (existing ones keep their
+    observers); other installed factories are unaffected."""
+    _observer_factories[:] = [f for f in _observer_factories if f is not factory]
+
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. scheduling in the past)."""
@@ -134,6 +151,8 @@ class Simulator:
         #: are registered (the normal fast path), the hook itself for one,
         #: a closure looping over a tuple for several.
         self._after_event: Optional[Callable[[], None]] = None
+        #: One observer per installed checker (see :func:`install_observer`).
+        self.observers: List[Any] = [factory(self) for factory in _observer_factories]
 
     # ------------------------------------------------------------------
     # scheduling

@@ -118,6 +118,7 @@ class XenReceiverMachine(ReceiverBase):
             self.aggregators.append(self.driver_domain.aggregator)
 
         self.tx_paths: List[GuestTxPath] = []
+        self._announce()
 
     # ------------------------------------------------------------------
     def add_client(

@@ -215,16 +215,50 @@ class TestReconciliation:
 # ----------------------------------------------------------------------
 # install / uninstall
 # ----------------------------------------------------------------------
+def _mq_machine(sim):
+    return ReceiverMachine(
+        sim, fast_config(n_nics=1), OptimizationConfig.optimized(), queues=2, ip=SERVER
+    )
+
+
 class TestInstall:
     def test_install_uninstall_restores_classes(self):
-        sim_init = Simulator.__init__
-        machine_init = ReceiverMachine.__init__
         handle = racecheck.install()
-        assert Simulator.__init__ is not sim_init
+        checked = Simulator()
+        machine = _mq_machine(checked)
+        assert [c.sim for c in handle.checkers] == [checked]
+        assert handle.checkers[0].machines == [machine]
         racecheck.uninstall(handle)
-        assert Simulator.__init__ is sim_init
-        assert ReceiverMachine.__init__ is machine_init
         assert not racecheck.is_installed()
+        # A simulator built after uninstall() gets no checker.
+        _mq_machine(Simulator())
+        assert [c.sim for c in handle.checkers] == [checked]
+
+    @pytest.mark.parametrize("first", ["sanitizer", "racecheck"])
+    def test_out_of_order_uninstall_keeps_the_other_checker(self, first):
+        from repro.analysis import sanitizer
+
+        modules = {"sanitizer": sanitizer, "racecheck": racecheck}
+        second = "racecheck" if first == "sanitizer" else "sanitizer"
+
+        def observers(name, handle):
+            return handle.sanitizers if name == "sanitizer" else handle.checkers
+
+        handles = {name: modules[name].install() for name in (first, second)}
+        try:
+            # Not last-in-first-out: the first-installed checker goes first.
+            modules[first].uninstall(handles[first])
+            assert not modules[first].is_installed()
+            assert modules[second].is_installed()
+            sim = Simulator()
+            machine = _mq_machine(sim)
+            remaining = observers(second, handles[second])
+            assert remaining and remaining[-1].sim is sim
+            assert remaining[-1].machines == [machine]
+            assert all(o.sim is not sim for o in observers(first, handles[first]))
+        finally:
+            for name in (first, second):
+                modules[name].uninstall(handles[name])
 
     def test_install_is_idempotent(self):
         handle = racecheck.install()

@@ -261,15 +261,17 @@ class TestCleanRuns:
             uninstall(handle)
 
     def test_install_uninstall_restores_classes(self):
-        sim_init = Simulator.__init__
-        machine_init = ReceiverMachine.__init__
         handle = install()
         assert is_installed()
-        assert Simulator.__init__ is not sim_init
+        sanitized = Simulator()
+        machine = ReceiverMachine(sanitized, fast_config(), OptimizationConfig.baseline())
+        assert [s.sim for s in handle.sanitizers] == [sanitized]
+        assert handle.sanitizers[0].machines == [machine]
         uninstall(handle)
         assert not is_installed()
-        assert Simulator.__init__ is sim_init
-        assert ReceiverMachine.__init__ is machine_init
+        # A simulator built after uninstall() gets no sanitizer.
+        ReceiverMachine(Simulator(), fast_config(), OptimizationConfig.baseline())
+        assert [s.sim for s in handle.sanitizers] == [sanitized]
 
     def test_install_is_idempotent(self):
         handle = install()
