@@ -12,6 +12,7 @@ integrity: byte at absolute stream offset ``i`` is ``(i * 31 + seed) & 0xFF``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 
@@ -89,5 +90,17 @@ class InfiniteSource:
 
     @staticmethod
     def pattern(offset: int, n: int, seed: int = 0) -> bytes:
-        """The deterministic byte pattern; also used by receivers to verify."""
-        return bytes(((i * 31) + seed) & 0xFF for i in range(offset, offset + n))
+        """The deterministic byte pattern for stream offsets ``offset`` to
+        ``offset + n``; also used by receivers to verify.  It repeats every
+        256 bytes, so the range is sliced out of repeated copies of one
+        period."""
+        if n <= 0:
+            return b""
+        start = offset & 0xFF
+        return (_pattern_period(seed & 0xFF) * ((start + n) // 256 + 1))[start:start + n]
+
+
+@lru_cache(maxsize=None)
+def _pattern_period(seed: int) -> bytes:
+    """Stream offsets 0-255 of the pattern: ``(i * 31 + seed) & 0xFF``."""
+    return bytes((i * 31 + seed) & 0xFF for i in range(256))

@@ -1,5 +1,7 @@
 """Send-side data source tests."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,6 +78,17 @@ def test_infinite_source_pattern_is_deterministic_and_offset_based():
 
 def test_infinite_source_seeds_differ():
     assert InfiniteSource.pattern(0, 32, seed=1) != InfiniteSource.pattern(0, 32, seed=2)
+
+
+def test_pattern_matches_its_per_byte_definition():
+    """Byte at stream offset ``i`` is ``(i * 31 + seed) & 0xFF``."""
+    rng = random.Random(20081)
+    for _ in range(2000):
+        offset = rng.randrange(1 << 40)
+        n = rng.randrange(3000)
+        seed = rng.randrange(1 << 16)
+        expected = bytes((i * 31 + seed) & 0xFF for i in range(offset, offset + n))
+        assert InfiniteSource.pattern(offset, n, seed) == expected, (offset, n, seed)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=500))
