@@ -16,6 +16,7 @@ in the same first-charge order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
@@ -46,7 +47,9 @@ class ProfileSnapshot:
 
     def diff(self, earlier: "ProfileSnapshot") -> "ProfileSnapshot":
         """Counters accumulated between ``earlier`` and this snapshot."""
-        keys = set(self.cycles) | set(earlier.cycles)
+        # First-charge order, so sums over ``cycles`` do not follow the
+        # string-hash seed.
+        keys = dict.fromkeys([*self.cycles, *earlier.cycles])
         return ProfileSnapshot(
             cycles={k: self.cycles.get(k, 0.0) - earlier.cycles.get(k, 0.0) for k in keys},
             network_packets=self.network_packets - earlier.network_packets,
@@ -57,7 +60,7 @@ class ProfileSnapshot:
 
     @property
     def total_cycles(self) -> float:
-        return sum(self.cycles.values())
+        return math.fsum(self.cycles.values())
 
     def cycles_per_packet(self, order: Iterable[str]) -> Dict[str, float]:
         """Per-network-packet breakdown in the given category order."""
@@ -73,7 +76,7 @@ class ProfileSnapshot:
 
     def group_cycles_per_packet(self, categories: Iterable[str]) -> float:
         n = max(self.network_packets, 1)
-        return sum(self.cycles.get(c, 0.0) for c in categories) / n
+        return math.fsum(self.cycles.get(c, 0.0) for c in categories) / n
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form, keyed by the same ``Category`` names the figure

@@ -10,6 +10,8 @@ prefetching); per-packet rises from 37% to ≈ 70%.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.config import OptimizationConfig
 from repro.cpu.cache import PrefetchMode
 from repro.cpu.categories import Category
@@ -46,7 +48,7 @@ def run(quick: bool = False) -> ExperimentResult:
             {
                 "prefetch": mode.value,
                 "per-byte %": 100 * result.share(Category.PER_BYTE),
-                "per-packet %": 100 * sum(result.share(c) for c in PER_PACKET_CATEGORIES),
+                "per-packet %": 100 * math.fsum(result.share(c) for c in PER_PACKET_CATEGORIES),
                 "misc %": 100 * result.share(Category.MISC),
                 "throughput Mb/s": result.throughput_mbps,
             }

@@ -6,6 +6,8 @@ every system the per-packet overheads far outweigh the per-byte overheads.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.config import OptimizationConfig
 from repro.cpu.categories import Category
 from repro.experiments.base import ExperimentResult, window
@@ -42,7 +44,7 @@ def run(quick: bool = False) -> ExperimentResult:
             {
                 "system": config.name,
                 "per-byte %": 100 * result.share(Category.PER_BYTE),
-                "per-packet %": 100 * sum(result.share(c) for c in per_packet),
+                "per-packet %": 100 * math.fsum(result.share(c) for c in per_packet),
                 "misc %": 100
                 * (result.share(Category.MISC) + result.share(Category.XEN)),
             }

@@ -8,6 +8,8 @@ there being TWO data copies on this path.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.config import OptimizationConfig
 from repro.cpu.categories import Category
 from repro.experiments.base import ExperimentResult, window
@@ -29,7 +31,7 @@ def run(quick: bool = False) -> ExperimentResult:
         xen_config(), OptimizationConfig.baseline(), duration=duration, warmup=warmup
     )
     rows = breakdown_rows({"cycles/packet": result}, xen_axis())
-    virt = sum(result.share(c) for c in Category.XEN_PER_PACKET_GROUP)
+    virt = math.fsum(result.share(c) for c in Category.XEN_PER_PACKET_GROUP)
     tcp = result.share(Category.TCP_RX) + result.share(Category.TCP_TX)
     notes = (
         f"Measured: virtualization per-packet group {virt:.1%}, TCP {tcp:.1%}, "

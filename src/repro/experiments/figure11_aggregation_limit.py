@@ -8,6 +8,7 @@ overhead and y the per-packet overhead that aggregation divides.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from repro.core.config import OptimizationConfig
@@ -54,10 +55,10 @@ def run(quick: bool = False, jobs: Optional[int] = None) -> ExperimentResult:
     inv = [1.0 / max(degrees[k], 1.0) for k in limits]
     ys = [measured[k] for k in limits]
     n = len(limits)
-    mean_inv = sum(inv) / n
-    mean_y = sum(ys) / n
-    var = sum((v - mean_inv) ** 2 for v in inv)
-    y_fit = sum((v - mean_inv) * (c - mean_y) for v, c in zip(inv, ys)) / var if var else 0.0
+    mean_inv = math.fsum(inv) / n
+    mean_y = math.fsum(ys) / n
+    var = math.fsum((v - mean_inv) ** 2 for v in inv)
+    y_fit = math.fsum((v - mean_inv) * (c - mean_y) for v, c in zip(inv, ys)) / var if var else 0.0
     x_fit = mean_y - y_fit * mean_inv
 
     rows = [

@@ -31,6 +31,7 @@ Either way one :class:`~repro.host.kernel.Kernel` runs on the machine's
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple, Union
 
 from repro.buffers.pool import BufferPool
@@ -144,7 +145,7 @@ class ReceiverBase:
         return self.cpus[0].profiler.merged([cpu.profiler for cpu in self.cpus[1:]])
 
     def total_busy_cycles(self) -> float:
-        return sum(cpu.busy_cycles for cpu in self.cpus)
+        return math.fsum(cpu.busy_cycles for cpu in self.cpus)
 
     def total_ring_drops(self) -> int:
         """Tail drops summed over every queue of every NIC."""

@@ -11,6 +11,7 @@ then compares baseline vs. optimized under identical settings.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from repro.host.client import ClientHost
@@ -80,7 +81,7 @@ def run_rr_experiment(
     sim.run(until=warmup + duration)
     tx = app.transactions - tx0
     samples = app.rtt_samples[samples0:]
-    mean_rtt = sum(samples) / len(samples) if samples else 0.0
+    mean_rtt = math.fsum(samples) / len(samples) if samples else 0.0
 
     return LatencyResult(
         system=config.name,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -47,13 +48,13 @@ class ThroughputResult:
         return self.throughput_mbps / self.cpu_utilization
 
     def share(self, category: str) -> float:
-        total = sum(self.breakdown.values())
+        total = math.fsum(self.breakdown.values())
         if total <= 0:
             return 0.0
         return self.breakdown.get(category, 0.0) / total
 
     def group_cycles(self, categories) -> float:
-        return sum(self.breakdown.get(c, 0.0) for c in categories)
+        return math.fsum(self.breakdown.get(c, 0.0) for c in categories)
 
 
 @dataclass
