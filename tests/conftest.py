@@ -54,6 +54,20 @@ def sim() -> Simulator:
     return Simulator()
 
 
+def assert_rows_match_pin(experiment_id: str, result, what: str) -> None:
+    """``result``'s rows must hash to ``experiment_id``'s digest in
+    tests/golden/rows.json; ``what`` names the instrumentation or run mode
+    under test, for the failure message."""
+    from repro.analysis import golden
+
+    assert golden.rows_digest(result.rows) == golden.pins()[experiment_id], (
+        f"{experiment_id} rows differ from their pin in tests/golden/rows.json: "
+        f"either {what} moved the rows, or the rows moved without a re-pin "
+        "(`python -m repro.analysis.golden` names every moved experiment, "
+        "`--update` re-pins)"
+    )
+
+
 def fast_config(**overrides):
     """A Linux-UP config shrunk for fast integration tests (2 NICs)."""
     cfg = linux_up_config()

@@ -1,31 +1,30 @@
-"""Determinism regression: the same experiment run twice in one process
-must produce bit-identical rows and an identical ``events_fired`` count.
+"""Determinism regression: an experiment's rows must match their pinned
+digest (tests/golden/rows.json) after whatever ran before it in this
+process, and two cold rigs must fire an identical ``events_fired`` count.
 
 This is the contract every fast-path change must preserve (engine heap
 layout, template packets, interned profiler categories): optimizations may
 change *how fast* the simulator runs, never *what* it computes.  Running
-twice in one process also catches leaked module-level state (template
-caches, category interning, RNG reuse) that a single cold run would miss.
+after other work in one process also catches leaked module-level state
+(template caches, category interning, RNG reuse) that a single cold run
+would miss.
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.core.config import OptimizationConfig
 from repro.experiments.runner import run_experiment
 from repro.host.configs import linux_up_config
 from repro.workloads.stream import build_stream_rig
 
-
-def _rows_json(result) -> str:
-    return json.dumps(result.rows, sort_keys=True, default=str)
+from tests.conftest import assert_rows_match_pin
 
 
 def test_figure03_quick_is_deterministic():
-    first = run_experiment("figure3", quick=True)
-    second = run_experiment("figure3", quick=True)
-    assert _rows_json(first) == _rows_json(second)
+    assert_rows_match_pin(
+        "figure3", run_experiment("figure3", quick=True),
+        "nondeterminism or state leaked from earlier runs in this process",
+    )
 
 
 def test_stream_rig_events_fired_is_deterministic():

@@ -33,6 +33,8 @@ from repro.obs.trace import cpu_tid
 from repro.sim.engine import Simulator
 from repro.workloads.stream import build_stream_rig, run_stream_experiment
 
+from tests.conftest import assert_rows_match_pin
+
 
 @pytest.fixture(autouse=True)
 def _obs_reset():
@@ -40,10 +42,6 @@ def _obs_reset():
     obs.reset()
     yield
     obs.reset()
-
-
-def _rows_json(result) -> str:
-    return json.dumps(result.rows, sort_keys=True, default=str)
 
 
 # ----------------------------------------------------------------------
@@ -313,28 +311,27 @@ class TestSchemaChecker:
 
 
 # ----------------------------------------------------------------------
-# behaviour neutrality: instrumented rows are bit-identical
+# behaviour neutrality: instrumented rows are bit-identical to the pin
 # ----------------------------------------------------------------------
-def _run_quick_with_and_without_obs(experiment_id: str):
-    plain = run_experiment(experiment_id, quick=True)
+def _run_quick_observed(experiment_id: str):
     obs.configure(trace=True, metrics=True, sample_interval=0.005)
     try:
         observed = run_experiment(experiment_id, quick=True)
         done = obs.drain_completed()
     finally:
         obs.reset()
-    return plain, observed, done
+    return observed, done
 
 
 def test_figure07_rows_neutral_under_full_observation():
-    plain, observed, done = _run_quick_with_and_without_obs("figure7")
-    assert _rows_json(plain) == _rows_json(observed)
+    observed, done = _run_quick_observed("figure7")
+    assert_rows_match_pin("figure7", observed, "full observation")
     assert done and all(o.tracer is not None and len(o.tracer) > 0 for o in done)
 
 
 def test_figure12_rows_neutral_under_full_observation():
-    plain, observed, done = _run_quick_with_and_without_obs("figure12")
-    assert _rows_json(plain) == _rows_json(observed)
+    observed, done = _run_quick_observed("figure12")
+    assert_rows_match_pin("figure12", observed, "full observation")
     assert done
 
 
@@ -458,17 +455,3 @@ def test_trace_and_metrics_deterministic_across_seeded_runs():
         )
         obs.reset()
     assert docs[0] == docs[1]
-
-
-def test_sweep_rows_identical_serial_vs_parallel_with_obs_on():
-    """--jobs workers are not observed (documented); rows must still match a
-    serial observed run bit-for-bit."""
-    from repro.experiments import figure11_aggregation_limit
-
-    obs.configure(trace=True, metrics=True)
-    try:
-        serial = figure11_aggregation_limit.run(quick=True)
-        parallel = figure11_aggregation_limit.run(quick=True, jobs=2)
-    finally:
-        obs.reset()
-    assert _rows_json(serial) == _rows_json(parallel)

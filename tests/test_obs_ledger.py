@@ -35,6 +35,8 @@ from repro.obs.flame import check_flame_text, collapsed_text
 from repro.obs.ledger import SCHEMA, UNIT_SCALE, UNIT_SCALE_F, check_ledger_document
 from repro.workloads.stream import bind_ledger, build_stream_rig, run_stream_experiment
 
+from tests.conftest import assert_rows_match_pin
+
 
 @pytest.fixture(autouse=True)
 def _obs_reset():
@@ -42,10 +44,6 @@ def _obs_reset():
     obs.reset()
     yield
     obs.reset()
-
-
-def _rows_json(result) -> str:
-    return json.dumps([row for row in result.rows], sort_keys=True, default=str)
 
 
 def _run_rig_with_ledger(config, opt, until=0.05):
@@ -161,20 +159,19 @@ def test_verify_reports_shadow_divergence():
 # ----------------------------------------------------------------------
 # 2. behaviour neutrality
 # ----------------------------------------------------------------------
-def _run_quick_with_and_without_ledger(experiment_id: str):
-    plain = run_experiment(experiment_id, quick=True)
+def _run_quick_ledgered(experiment_id: str):
     obs.configure(ledger=True)
     try:
         ledgered = run_experiment(experiment_id, quick=True, ledger=True)
         done = obs.drain_completed()
     finally:
         obs.reset()
-    return plain, ledgered, done
+    return ledgered, done
 
 
 def test_figure07_rows_bit_identical_with_ledger_on():
-    plain, ledgered, done = _run_quick_with_and_without_ledger("figure7")
-    assert _rows_json(plain) == _rows_json(ledgered)
+    ledgered, done = _run_quick_ledgered("figure7")
+    assert_rows_match_pin("figure7", ledgered, "the cycle ledger")
     ledgers = [o.ledger for o in done if o.ledger is not None]
     assert len(ledgers) >= 6
     for led in ledgers:
@@ -182,8 +179,8 @@ def test_figure07_rows_bit_identical_with_ledger_on():
 
 
 def test_figure12_rows_bit_identical_with_ledger_on():
-    plain, ledgered, done = _run_quick_with_and_without_ledger("figure12")
-    assert _rows_json(plain) == _rows_json(ledgered)
+    ledgered, done = _run_quick_ledgered("figure12")
+    assert_rows_match_pin("figure12", ledgered, "the cycle ledger")
     assert any(o.ledger is not None for o in done)
 
 

@@ -1,18 +1,19 @@
 """Tests for the :mod:`repro.parallel` sweep runner.
 
 The invariant under test: parallelism never changes science output.  A
-sweep run with ``jobs=2`` must return exactly what the serial run returns,
-in the same order.
+sweep run with ``jobs=2`` must return exactly what the serial run returns
+(the pinned rows), in the same order.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+from repro import obs
 from repro.experiments import figure11_aggregation_limit
 from repro.parallel import resolve_jobs, run_points
+
+from tests.conftest import assert_rows_match_pin
 
 
 def _square(x: int) -> int:
@@ -49,9 +50,17 @@ def test_worker_exception_propagates_serial_and_parallel():
         run_points(_boom, [1, 2], jobs=2)
 
 
-def test_figure11_quick_rows_identical_serial_vs_parallel():
-    """End-to-end: a real sweep experiment yields bit-identical rows with
-    and without worker processes (per-point isolated simulations)."""
-    serial = figure11_aggregation_limit.run(quick=True)
-    parallel = figure11_aggregation_limit.run(quick=True, jobs=2)
-    assert json.dumps(serial.rows) == json.dumps(parallel.rows)
+@pytest.mark.parametrize("observed", [False, True], ids=["obs_off", "obs_on"])
+def test_figure11_quick_rows_identical_serial_vs_parallel(observed):
+    """End-to-end: a real sweep experiment run in worker processes
+    (per-point isolated simulations) yields its pinned serial rows.  With
+    observation on, workers are not observed (documented) and the rows
+    must still match bit-for-bit."""
+    if observed:
+        obs.configure(trace=True, metrics=True)
+    try:
+        parallel = figure11_aggregation_limit.run(quick=True, jobs=2)
+    finally:
+        obs.reset()
+    what = "worker processes with observation on" if observed else "worker processes"
+    assert_rows_match_pin("figure11", parallel, what)
