@@ -100,7 +100,7 @@ class InfiniteSource:
         return (_pattern_period(seed & 0xFF) * ((start + n) // 256 + 1))[start:start + n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _pattern_period(seed: int) -> bytes:
     """Stream offsets 0-255 of the pattern: ``(i * 31 + seed) & 0xFF``."""
     return bytes((i * 31 + seed) & 0xFF for i in range(256))
