@@ -270,13 +270,8 @@ class Kernel:
         return prev
 
     def register_route(self, dst_ip: int, drivers: Sequence[object]) -> None:
-        """Route ``dst_ip`` through one transmit driver per CPU; the sending
-        CPU uses its own queue's driver."""
-        if len(drivers) != len(self.cpus):
-            raise ValueError(
-                f"{self.name}: route needs one driver per CPU "
-                f"({len(self.cpus)}), got {len(drivers)}"
-            )
+        """Route ``dst_ip`` through one transmit driver per CPU, indexed
+        like ``cpus``; the sending CPU uses its own queue's driver."""
         self.routes[dst_ip] = list(drivers)
 
     def listen(self, port: int, on_accept: Optional[Callable[[KernelSocket], None]] = None) -> None:
