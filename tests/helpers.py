@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, List, Optional
 
 from repro.net.addresses import ip_from_str
@@ -57,3 +58,41 @@ def make_pair(sim: Simulator, config_a: Optional[TcpConfig] = None, config_b: Op
         sim.run(until=sim.now + 0.01)
         assert sock_a.established
     return conn_a, conn_b, sock_a, sock_b, ta, tb
+
+
+class WireDigest:
+    """One sha256 over every frame a rig's links deliver, in delivery order.
+
+    Taps each link the way ``PacketCapture.tap_link`` does, by wrapping its
+    sink: the machine's inbound ``links`` and every NIC's ``tx_link``.  Per
+    frame it feeds the link name, ``sim.now``, ports, flags, seq, ack,
+    window, payload length, timestamp pair and SACK blocks, read before the
+    receiver can mutate or recycle the frame.
+    """
+
+    def __init__(self, machine):
+        self._sha = hashlib.sha256()
+        self.frames = 0
+        sim = machine.sim
+        for link in [*machine.links, *(nic.tx_link for nic in machine.nics)]:
+            self._tap(sim, link)
+
+    def _tap(self, sim: Simulator, link) -> None:
+        downstream = link.sink
+        name = link.name
+        update = self._sha.update
+
+        def tapped(pkt: Packet) -> None:
+            tcp = pkt.tcp
+            opts = tcp.options
+            update(repr((
+                name, sim.now, tcp.src_port, tcp.dst_port, int(tcp.flags), tcp.seq,
+                tcp.ack, tcp.window, pkt.payload_len, opts.timestamp, opts.sack_blocks,
+            )).encode())
+            self.frames += 1
+            downstream(pkt)
+
+        link.sink = tapped
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
