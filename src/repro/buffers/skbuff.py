@@ -40,6 +40,7 @@ class SkBuff:
         "freed",
         "alloc_time",
         "csum_verified",
+        "payload_len",
     )
 
     def __init__(self, head: Packet, pool: Optional["BufferPool"] = None, alloc_time: float = 0.0):
@@ -59,6 +60,9 @@ class SkBuff:
         self.alloc_time = alloc_time
         #: Propagated from the head packet's NIC checksum-offload flag.
         self.csum_verified = head.csum_verified if head is not None else False
+        #: Total TCP payload bytes across head and fragments, kept current
+        #: by :meth:`chain` (read once per stage on the receive path).
+        self.payload_len = head.payload_len if head is not None else 0
 
     # ------------------------------------------------------------------
     @property
@@ -70,11 +74,6 @@ class SkBuff:
     def nr_segments(self) -> int:
         """Number of network packets this skb represents (head + fragments)."""
         return 1 + len(self.frags)
-
-    @property
-    def payload_len(self) -> int:
-        """Total TCP payload bytes across head and fragments."""
-        return self.head.payload_len + sum(f.payload_len for f in self.frags)
 
     @property
     def is_aggregated(self) -> bool:
@@ -90,6 +89,22 @@ class SkBuff:
         if self.frags:
             return self.frags[-1].end_seq
         return self.head.end_seq
+
+    def chain(self, pkt: Packet) -> None:
+        """Chain ``pkt`` behind the last fragment (§3.2).  Fragments are
+        chained only through here, so ``payload_len`` stays their total;
+        the per-fragment metadata lists are the aggregator's to fill."""
+        self.frags.append(pkt)
+        self.payload_len += pkt.payload_len
+
+    def adopt_chain(self, other: "SkBuff") -> None:
+        """Take over ``other``'s fragments and their metadata: the same host
+        packet re-parented to this descriptor (Xen's guest hand-off)."""
+        self.frags = other.frags
+        self.frag_acks = other.frag_acks
+        self.frag_end_seqs = other.frag_end_seqs
+        self.frag_windows = other.frag_windows
+        self.payload_len = other.payload_len
 
     def segments(self) -> List[Packet]:
         """All constituent network packets, in sequence order."""

@@ -46,7 +46,6 @@ from repro.obs.trace import Stage, cpu_tid
 #: Raw ACK|PSH bits — the only flags an aggregatable segment may carry (§3.1).
 _ACK_PSH_MASK = int(TcpFlags.ACK | TcpFlags.PSH)
 _NOT_ACK_PSH = ~_ACK_PSH_MASK
-from repro.tcp.seqmath import seq_ge
 from repro.core.config import OptimizationConfig
 
 
@@ -116,27 +115,6 @@ class PartialAggregate:
         self.last_ack = head.tcp.ack
         self.has_timestamp = head.tcp.options.timestamp is not None
         self.count = 1
-
-    def matches(self, pkt: Packet) -> bool:
-        """§3.1 in-sequence test: seq contiguous, ACK monotonic, consistent
-        timestamp presence."""
-        if pkt.tcp.seq != self.next_seq:
-            return False
-        if not seq_ge(pkt.tcp.ack, self.last_ack):
-            return False
-        if (pkt.tcp.options.timestamp is not None) != self.has_timestamp:
-            return False
-        return True
-
-    def add_fragment(self, pkt: Packet) -> None:
-        skb = self.skb
-        skb.frags.append(pkt)
-        skb.frag_acks.append(pkt.tcp.ack)
-        skb.frag_end_seqs.append(pkt.end_seq)
-        skb.frag_windows.append(pkt.tcp.window)
-        self.next_seq = pkt.end_seq
-        self.last_ack = pkt.tcp.ack
-        self.count += 1
 
 
 class AggregationEngine:
@@ -357,8 +335,8 @@ class AggregationEngine:
             tcp = pkt.tcp
             ack = tcp.ack
             limit = self.opt.aggregation_limit
-            # partial.matches() inlined (seq contiguous, ACK monotonic —
-            # seq_ge as one masked subtract — consistent timestamp presence).
+            # §3.1 in-sequence test: seq contiguous, ACK monotonic (seq_ge
+            # as one masked subtract), consistent timestamp presence.
             if (
                 tcp.seq == partial.next_seq
                 and ((ack - partial.last_ack) & 0xFFFFFFFF) < 0x80000000
@@ -366,10 +344,10 @@ class AggregationEngine:
                 and partial.count < limit
             ):
                 self.cpu.consume(self.costs.aggr_chain_per_fragment, Category.AGGR)
-                # add_fragment() inlined.
+                # Chain the fragment and record its §3.4 metadata.
                 skb = partial.skb
                 end = (tcp.seq + pkt.payload_len) & 0xFFFFFFFF
-                skb.frags.append(pkt)
+                skb.chain(pkt)
                 skb.frag_acks.append(ack)
                 skb.frag_end_seqs.append(end)
                 skb.frag_windows.append(tcp.window)

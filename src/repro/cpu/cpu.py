@@ -15,11 +15,11 @@ the configuration decides the real cost.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.cpu.costmodel import CostModel
 from repro.cpu.locks import LockModel
-from repro.cpu.profiler import _CATEGORY_INDEX, _intern_category, Profiler
+from repro.cpu.profiler import _intern_category, Profiler
 from repro.obs.runtime import active_ledger
 from repro.sim.engine import Simulator
 
@@ -58,6 +58,12 @@ class Cpu:
         # Captured at construction (rigs are built inside ``observe()``),
         # so the ledger-off hot path is one load and a None check.
         self._led = active_ledger()
+        #: The profiler's accumulators (the lists live as long as it does).
+        self._cycles = self.profiler._cycles
+        self._touched = self.profiler._touched
+        #: category -> (profiler index, lock factor), resolved on the first
+        #: charge to the category (see :meth:`_charge_key`).
+        self._charge_keys: Dict[str, Tuple[int, float]] = {}
 
         self.busy_until: float = 0.0
         self.busy_cycles: float = 0.0
@@ -94,31 +100,43 @@ class Cpu:
             self._running_task = False
         self._schedule_drain()
 
+    def _charge_key(self, category: str) -> Tuple[int, float]:
+        """Resolve ``category`` to its profiler index and lock factor, at
+        its first charge on this CPU.
+
+        Both are fixed for a CPU's life: the category table only grows, and
+        neither the lock model nor its factors change once the CPU is built.
+        The first charge is also when the category joins the profiler's
+        first-charge order.
+        """
+        idx = _intern_category(category)
+        c = self._cycles
+        if idx >= len(c):
+            c.extend([0.0] * (idx + 1 - len(c)))
+        touched = self._touched
+        if idx not in touched:
+            touched.append(idx)
+        locks = self.locks
+        factor = locks.factors.get(category, 1.0) if locks.enabled else 1.0
+        key = self._charge_keys[category] = (idx, factor)
+        return key
+
     def consume(self, cycles: float, category: str) -> None:
         """Charge ``cycles`` (nominal) to ``category`` and advance the clock.
 
-        SMP lock inflation is applied here.  The profiler charge is inlined
-        (rather than calling :meth:`Profiler.add`) because this method runs
-        several times per simulated packet, millions of times per run.
+        SMP lock inflation is applied here (a factor of 1.0 leaves the value
+        unchanged).  The profiler charge is inlined (rather than calling
+        :meth:`Profiler.add`) because this method runs several times per
+        simulated packet, millions of times per run.
         """
         if cycles <= 0:
             return
-        locks = self.locks
-        if locks.enabled:
-            cycles = cycles * locks.factors.get(category, 1.0)
-        prof = self.profiler
-        idx = _CATEGORY_INDEX.get(category)
-        if idx is None:
-            idx = _intern_category(category)
-        c = prof._cycles
-        if idx >= len(c):
-            c.extend([0.0] * (idx + 1 - len(c)))
-        v = c[idx]
-        c[idx] = v + cycles
-        if v == 0.0:
-            touched = prof._touched
-            if idx not in touched:
-                touched.append(idx)
+        try:
+            idx, factor = self._charge_keys[category]
+        except KeyError:
+            idx, factor = self._charge_key(category)
+        cycles = cycles * factor
+        self._cycles[idx] += cycles
         self.busy_cycles += cycles
         self.busy_until += cycles / self.freq_hz
         led = self._led
@@ -139,7 +157,11 @@ class Cpu:
         Used for "the packet hits the wire once the tx routine finishes".
         Deferred effects are fire-and-forget: no cancellation token is built.
         """
-        self.sim.call_at(self.now_done, fn, *args)
+        sim = self.sim
+        busy_until = self.busy_until
+        now = sim.now
+        # now_done, inlined.
+        sim.call_at(busy_until if busy_until >= now else now, fn, *args)
 
     def idle(self) -> bool:
         """True when no task is running or queued and the clock has caught up."""

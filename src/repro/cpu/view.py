@@ -13,7 +13,7 @@ aggregation engine) run unmodified against a view.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.cpu.costmodel import CostModel
 from repro.cpu.cpu import Cpu
@@ -36,16 +36,20 @@ class CpuView:
         self.costs = costs if costs is not None else cpu.costs
         self.name = name
         self._cpu_consume = cpu.consume
+        #: category -> (scale, category on the shared CPU), resolved on the
+        #: first charge; the maps are fixed once the view is built.
+        self._charge_keys: Dict[str, Tuple[float, str]] = {}
 
     # ---- the Cpu interface used by kernel/driver/aggregation code ----
     def consume(self, cycles: float, category: str) -> None:
-        scale_map = self.scale_map
-        if scale_map:
-            cycles = cycles * scale_map.get(category, 1.0)
-        category_map = self.category_map
-        if category_map:
-            category = category_map.get(category, category)
-        self._cpu_consume(cycles, category)
+        try:
+            scale, mapped = self._charge_keys[category]
+        except KeyError:
+            scale = self.scale_map.get(category, 1.0)
+            mapped = self.category_map.get(category, category)
+            self._charge_keys[category] = (scale, mapped)
+        # A scale of 1.0 leaves the value unchanged.
+        self._cpu_consume(cycles * scale, mapped)
 
     def submit(self, fn, *args) -> None:
         self._cpu.submit(fn, *args)

@@ -350,11 +350,12 @@ class E1000Driver:
                 tid=cpu_tid(self.cpu),
                 args={"acks": len(packets)},
             )
+        prof = self.cpu.profiler
         for pkt in packets:
             consume(costs.ack_expand_per_ack, Category.DRIVER)
             self.stats.tx_expanded_acks += 1
             self.stats.tx_packets += 1
-            self.cpu.profiler.count_ack_sent()
+            prof.acks_sent += 1
             self.cpu.defer(self.nic.transmit, pkt)
         skb.free()
         consume(costs.skb_free, Category.BUFFER)

@@ -394,11 +394,12 @@ class Kernel:
         consume(costs.non_proto_rx, Category.NON_PROTO)
         consume(costs.ip_rx, Category.RX)
         consume(costs.tcp_rx, Category.RX)
-        nr_segments = skb.nr_segments
-        if nr_segments > 1:
+        nr_frags = len(skb.frags)
+        nr_segments = 1 + nr_frags
+        if nr_frags:
             # Modified TCP layer: walk the per-fragment metadata (§3.4).
             consume(costs.tcp_rx_per_fragment * nr_segments, Category.RX)
-        self.cpu.profiler.count_host_packet()
+        self.cpu.profiler.host_packets += 1
 
         conn, sock = self._demux(pkt)
         if conn is None:
@@ -417,16 +418,11 @@ class Kernel:
                 )
             return
 
-        if nr_segments > 1:
+        if nr_frags:
             agg_payload = skb.payload_bytes() if pkt.payload is not None else None
             conn.on_segment(
-                pkt,
-                frag_acks=skb.frag_acks,
-                frag_end_seqs=skb.frag_end_seqs,
-                frag_windows=skb.frag_windows,
-                nr_segments=nr_segments,
-                agg_payload=agg_payload,
-                agg_len=skb.payload_len,
+                pkt, skb.frag_acks, skb.frag_end_seqs, skb.frag_windows, nr_segments,
+                agg_payload, skb.payload_len,
             )
         else:
             conn.on_segment(pkt)
@@ -450,7 +446,7 @@ class Kernel:
                         consume(mem.remote_skb_touch_cycles(), Category.BUFFER)
                 else:
                     meminfo = None
-                sock.pending_items.append((new_bytes, skb.nr_frags, meminfo))
+                sock.pending_items.append((new_bytes, nr_frags, meminfo))
                 sock.pending_item_bytes = sock.pending_bytes
             if not sock.dirty:
                 sock.dirty = True
@@ -458,8 +454,8 @@ class Kernel:
 
         skb.free()
         consume(costs.skb_free, Category.BUFFER)
-        if skb.nr_frags:
-            consume(costs.frag_buffer_release * skb.nr_frags, Category.BUFFER)
+        if nr_frags:
+            consume(costs.frag_buffer_release * nr_frags, Category.BUFFER)
         if led is not None:
             led.pop_stage()
             led.set_flow(prev_flow)
@@ -475,14 +471,19 @@ class Kernel:
             tr.latency("latency.nic_to_tcp", max(0.0, t0 - pkt.rx_time))
 
     def _demux(self, pkt: Packet) -> Tuple[Optional[TcpConnection], Optional[KernelSocket]]:
-        key = FlowKey(pkt.ip.dst_ip, pkt.tcp.dst_port, pkt.ip.src_ip, pkt.tcp.src_port)
+        ip = pkt.ip
+        tcp = pkt.tcp
+        # Plain tuples hash/compare equal to FlowKey (a NamedTuple), so the
+        # lookup skips constructing one.
+        key = (ip.dst_ip, tcp.dst_port, ip.src_ip, tcp.src_port)
         conn = self.connections.get(key)
         if conn is not None:
             sock = self.sockets.get(key)
         else:
-            on_accept = self.listeners.get(pkt.tcp.dst_port)
+            on_accept = self.listeners.get(tcp.dst_port)
             if on_accept is None:
                 return None, None
+            key = FlowKey(*key)
             conn = TcpConnection(
                 key=key,
                 config=self.default_tcp_config(),

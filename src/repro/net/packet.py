@@ -12,13 +12,19 @@ fragments, mirroring how Linux chains page fragments onto one sk_buff.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.net.checksum import checksum_update_u32
 from repro.net.ethernet import ETH_HEADER_LEN, ETH_P_IP, EthernetHeader
 from repro.net.flow import FlowKey
 from repro.net.ip import IP_HEADER_LEN, IPPROTO_TCP, IPv4Header
-from repro.net.tcp_header import TCP_BASE_HEADER_LEN, TcpFlags, TcpHeader, TcpOptions
+from repro.net.tcp_header import (
+    TCP_BASE_HEADER_LEN,
+    TCP_TIMESTAMP_OPTION_LEN,
+    TcpFlags,
+    TcpHeader,
+    TcpOptions,
+)
 
 #: Raw flag bits, for hot-path tests without enum-operator overhead.
 _FLAGS_ACK = int(TcpFlags.ACK)
@@ -97,9 +103,9 @@ class Packet:
     def wire_len(self) -> int:
         """MAC-frame length (without preamble/FCS/IFG, which the link adds).
 
-        Cached on first use — headers and payload length are fixed once a
-        packet is on the wire.  The rare mutators (hardware LRO merging)
-        must call :meth:`invalidate_geometry`.
+        Cached on first use.  The write-through mutators below that change
+        the geometry clear the cache themselves, and :meth:`copy` carries
+        it over to the clone.
         """
         wl = self._wire_len
         if wl is None:
@@ -115,10 +121,6 @@ class Packet:
                 self.ip.src_ip, self.tcp.src_port, self.ip.dst_ip, self.tcp.dst_port
             )
         return fk
-
-    def invalidate_geometry(self) -> None:
-        """Drop cached lengths after a mutation that changes them (LRO merge)."""
-        self._wire_len = None
 
     # ------------------------------------------------------------------
     # write-through mutation API
@@ -280,8 +282,15 @@ class Packet:
         return cls(ip=ip, tcp=tcp, payload=payload, eth=eth)
 
     def copy(self) -> "Packet":
+        """An independent clone of this frame.
+
+        The clone owns its IP header, TCP header and options block, which
+        receive paths rewrite in place (ACK, window, ``options.timestamp``).
+        It shares the MAC header, which nothing mutates, and the cached
+        geometry and flow identity, which equal the original's.
+        """
         clone = Packet.__new__(Packet)
-        clone.eth = self.eth.copy()
+        clone.eth = self.eth
         clone.ip = self.ip.copy()
         clone.tcp = self.tcp.copy()
         clone.payload = self.payload
@@ -292,8 +301,8 @@ class Packet:
         clone.created_time = self.created_time
         clone.lro_segs = self.lro_segs
         clone.mem_token = None
-        clone._wire_len = None
-        clone._flow_key = None
+        clone._wire_len = self._wire_len
+        clone._flow_key = self._flow_key
         clone._slab_free = False
         return clone
 
@@ -349,8 +358,8 @@ def _header_defaults():
 #: ports zero until :meth:`PacketTemplate.make` stamps them.  Built once
 #: and only ever read: ``make`` copies them into each packet's headers.
 _IP_DEFAULTS, _TCP_DEFAULTS = _header_defaults()
-#: The MAC header is never mutated in the simulation (Packet.copy clones it
-#: before any byte-level use), so every template packet shares this one.
+#: The MAC header is never mutated in the simulation, so every template
+#: packet shares this one (and :meth:`Packet.copy` shares it onward).
 _TEMPLATE_ETH = EthernetHeader()
 
 
@@ -385,7 +394,15 @@ class PacketTemplate:
         window: int,
         payload_len: int = 0,
         options: Optional[TcpOptions] = None,
+        timestamp: Optional[Tuple[int, int]] = None,
     ) -> Packet:
+        """Stamp one length-only packet of this flow.
+
+        ``options`` is its TCP options block.  Without one the packet gets
+        a timestamp-only block carrying ``timestamp`` (an empty block when
+        that is None too): the layout of every ACK-clocked data segment
+        and ACK, built here so those packets cost one call each.
+        """
         slab = self.slab
         pkt = slab.acquire() if slab is not None else None
         if pkt is None:
@@ -409,10 +426,19 @@ class PacketTemplate:
         tcp.flags = flags
         tcp.window = window
         if options is None:
-            options = TcpOptions()
+            options = TcpOptions.__new__(TcpOptions)
+            options.mss = None
+            options.window_scale = None
+            options.sack_permitted = False
+            options.timestamp = timestamp
+            options.sack_blocks = []
+            # encoded_len() of a timestamp-only block.
+            options_len = 0 if timestamp is None else TCP_TIMESTAMP_OPTION_LEN
+        else:
+            options_len = options.encoded_len()
         tcp.options = options
         # Template headers are always option-less IP (ihl=5), base TCP.
-        total = IP_HEADER_LEN + TCP_BASE_HEADER_LEN + options.encoded_len() + payload_len
+        total = IP_HEADER_LEN + TCP_BASE_HEADER_LEN + options_len + payload_len
         ip.total_length = total
         pkt.eth = _TEMPLATE_ETH
         pkt.ip = ip

@@ -59,19 +59,6 @@ class TcpOptions:
     timestamp: Optional[Tuple[int, int]] = None
     sack_blocks: List[Tuple[int, int]] = field(default_factory=list)
 
-    @staticmethod
-    def timestamp_only(timestamp: Optional[Tuple[int, int]]) -> "TcpOptions":
-        """Fast constructor for the hot path: a timestamp-only options block
-        (bypasses the dataclass ``__init__``, which per-packet senders hit
-        tens of thousands of times per simulated second)."""
-        opts = TcpOptions.__new__(TcpOptions)
-        opts.mss = None
-        opts.window_scale = None
-        opts.sack_permitted = False
-        opts.timestamp = timestamp
-        opts.sack_blocks = []
-        return opts
-
     def only_timestamp(self) -> bool:
         """True when the timestamp option is the only option present.
 

@@ -253,7 +253,12 @@ class Link:
             arrival += self.reorder_delay_s
             self.stats.frames_reordered += 1
 
-        self._enqueue(arrival, frame)
+        if self.batch_window_s <= 0.0:
+            # Unbatched: one delivery event per frame, scheduled directly.
+            self.in_flight += 1
+            self.sim.call_at(arrival, self._deliver, frame)
+        else:
+            self._enqueue(arrival, frame)
         if self.dup_prob > 0 and self.rng.random() < self.dup_prob:
             # Deliver an independent copy with its *own* delivery metadata:
             # the duplicate takes the un-reordered arrival time, so a

@@ -61,6 +61,9 @@ _F_SYN_FIN = _F_SYN | _F_FIN
 _ACK_PSH = TcpFlags.ACK | TcpFlags.PSH
 _SEQ_MASK = 0xFFFFFFFF
 _SEQ_HALF = 0x80000000
+#: The state nearly every segment arrives in, as a module constant so the
+#: per-segment state tests skip the enum lookup.
+_ESTABLISHED = TcpState.ESTABLISHED
 
 
 @dataclass(frozen=True)
@@ -330,20 +333,21 @@ class TcpConnection:
             return
 
         # ---- handshake states ----
-        if state is TcpState.LISTEN:
-            if flags & _F_SYN:
-                self._on_syn(pkt)
-            return
-        if state is TcpState.SYN_SENT:
-            if (flags & _F_SYN) and (flags & _F_ACK):
-                self._on_syn_ack(pkt)
-            return
-        if state is TcpState.SYN_RCVD:
-            if (flags & _F_ACK) and seq_gt(tcp.ack, self.snd_una):
-                self._handshake_complete(pkt)
-                # fall through: the ACK may carry data
-            else:
+        if state is not _ESTABLISHED:
+            if state is TcpState.LISTEN:
+                if flags & _F_SYN:
+                    self._on_syn(pkt)
                 return
+            if state is TcpState.SYN_SENT:
+                if (flags & _F_SYN) and (flags & _F_ACK):
+                    self._on_syn_ack(pkt)
+                return
+            if state is TcpState.SYN_RCVD:
+                if (flags & _F_ACK) and seq_gt(tcp.ack, self.snd_una):
+                    self._handshake_complete(pkt)
+                    # fall through: the ACK may carry data
+                else:
+                    return
 
         # ---- timestamps (RFC 1323) ----
         ts = tcp.options.timestamp
@@ -357,11 +361,27 @@ class TcpConnection:
             if frag_acks and self.config.aggregation_aware:
                 # §3.4 case 1: replay each fragment's ACK number so cwnd
                 # grows per network packet, not per aggregated packet.
-                last_i = len(frag_acks) - 1
-                for i, frag_ack in enumerate(frag_acks):
-                    window = frag_windows[i] if frag_windows else tcp.window
-                    self.stats.frag_acks_processed += 1
-                    self._process_ack(frag_ack, window, pkt, count_dup=(i == last_i))
+                n = len(frag_acks)
+                snd_una = self.snd_una
+                if (
+                    self.source is None
+                    and snd_una == self.snd_nxt
+                    and frag_acks.count(snd_una) == n
+                    and (0 not in frag_windows if frag_windows else tcp.window != 0)
+                ):
+                    # The replay is provably a no-op but for the window:
+                    # nothing is in flight or can be sent, so no fragment
+                    # is a duplicate or sends, and each one offers the
+                    # same segment's window update.  Only the last window
+                    # sticks, and with none zero no persist timer is armed.
+                    self.stats.frag_acks_processed += n
+                    self._update_snd_wnd(pkt, frag_windows[-1] if frag_windows else tcp.window)
+                else:
+                    last_i = n - 1
+                    for i, frag_ack in enumerate(frag_acks):
+                        window = frag_windows[i] if frag_windows else tcp.window
+                        self.stats.frag_acks_processed += 1
+                        self._process_ack(frag_ack, window, pkt, count_dup=(i == last_i))
             else:
                 self._process_ack(tcp.ack, tcp.window, pkt, count_dup=True)
 
@@ -372,7 +392,7 @@ class TcpConnection:
             self._process_data(pkt, seg_len, seg_payload, frag_end_seqs)
 
         state = self.state
-        if (
+        if state is not _ESTABLISHED and (
             state is TcpState.LAST_ACK
             or state is TcpState.FIN_WAIT_1
             or state is TcpState.CLOSING
@@ -387,7 +407,7 @@ class TcpConnection:
             mss=self.config.mss,
             window_scale=self.config.window_scale,
             sack_permitted=self.config.use_sack,
-            timestamp=self._ts_pair() if self.config.use_timestamps else None,
+            timestamp=self._ts_pair(self.clock()),
         )
 
     def _learn_peer_options(self, opts: TcpOptions) -> None:
@@ -445,17 +465,39 @@ class TcpConnection:
         snd_una = self.snd_una
         acked = (ack - snd_una) & _SEQ_MASK
         if acked and acked < _SEQ_HALF:  # seq_gt(ack, snd_una)
-            self._sample_rtt(ack, pkt)
-            self._drop_acked_rtx(ack)
+            tcp = pkt.tcp
+            rtx = self.rtx_queue
+            # RTT sample: an echoed timestamp gives the send time directly;
+            # without one, time the oldest fully-acked, never-retransmitted
+            # segment (Karn's algorithm).
+            ts = tcp.options.timestamp
+            if ts is not None and ts[1]:
+                rtt = self.clock() - ts[1] / self.config.ts_clock_hz
+                if 0 <= rtt < 10:
+                    self.rtt.sample(rtt)
+            else:
+                for rec in rtx:
+                    if seq_ge(ack, rec.end_seq) and not rec.retransmitted:
+                        self.rtt.sample(self.clock() - rec.time_sent)
+                        break
+                    if not seq_lt(rec.seq, ack):
+                        break
+            # Drop the records this ACK covers (seq_le inlined).
+            while rtx:
+                d = (rtx[0].end_seq - ack) & _SEQ_MASK
+                if d == 0 or d >= _SEQ_HALF:
+                    rtx.popleft()
+                else:
+                    break
             self.snd_una = ack
             self._rto_backoff = 0
             source = self.source
             if source is not None:
-                offset = seq_diff(ack, self._send_base_seq)
-                if offset > 0:
+                offset = (ack - self._send_base_seq) & _SEQ_MASK
+                if offset and offset < _SEQ_HALF:  # seq_diff(...) > 0
                     source.release(offset)
             reno = self.reno
-            if reno.in_recovery:
+            if reno.recover is not None:  # reno.in_recovery
                 partial = reno.on_recovery_ack(ack, seq_add(ack, -acked))
                 if partial:
                     self._recovery_partials += 1
@@ -485,13 +527,39 @@ class TcpConnection:
                         self._retransmit_record(rec)
                         nxt = rec.end_seq
                     self._loss_recovery_nxt = nxt
-            self._update_snd_wnd(pkt, window_field)
-            if self.rtx_queue:
-                self._arm_rto(restart=self._recovery_partials <= 1)
-            else:
-                self._cancel_rto()
+            # Window update (_update_snd_wnd inlined).
+            seq = tcp.seq
+            wl1 = self.snd_wl1
+            update = ((wl1 - seq) & _SEQ_MASK) >= _SEQ_HALF
+            if not update and wl1 == seq:
+                d = (self.snd_wl2 - tcp.ack) & _SEQ_MASK
+                update = d == 0 or d >= _SEQ_HALF
+            if update:
+                new_wnd = window_field << self.peer_wscale
+                self.snd_wnd = new_wnd
+                self.snd_wl1 = seq
+                self.snd_wl2 = tcp.ack
+                if new_wnd == 0:
+                    self._arm_persist()
+                elif self._persist_timer is not None:
+                    self._cancel_persist()
+            # RTO restart (_arm_rto inlined; the backoff is 0 here).  Only
+            # the first partial ACK of a recovery episode restarts it.
+            timer = self._rto_timer
+            if not rtx:
+                if timer is not None:
+                    timer.cancel()
+                    self._rto_timer = None
+            elif timer is None:
+                self._rto_timer = self.timers.schedule(self.rtt.rto, self._rto_fire)
+            elif self._recovery_partials <= 1 and not timer.postpone(self.rtt.rto):
+                timer.cancel()
+                self._rto_timer = self.timers.schedule(self.rtt.rto, self._rto_fire)
+            # _maybe_send ends in the same FIN check when it gets that far;
+            # this covers the paths where it returns early.
             self._maybe_send()
-            self._try_send_fin_or_data()
+            if self._fin_pending and not self._fin_sent:
+                self._try_send_fin_or_data()
         elif ack == snd_una:
             # RFC 5681 wants an unchanged window; with SACK, an ACK at
             # snd_una carrying SACK blocks is a loss signal even when the
@@ -530,27 +598,8 @@ class TcpConnection:
             self.snd_wl2 = ack
             if new_wnd == 0:
                 self._arm_persist()
-            else:
+            elif self._persist_timer is not None:
                 self._cancel_persist()
-
-    def _sample_rtt(self, ack: int, pkt: Packet) -> None:
-        ts = pkt.tcp.options.timestamp
-        if ts is not None and ts[1]:
-            # Echoed timestamp gives the send time directly.
-            sent = ts[1] / self.config.ts_clock_hz
-            rtt = self.clock() - sent
-            if 0 <= rtt < 10:
-                self.rtt.sample(rtt)
-            return
-        # Fall back to timing the oldest fully-acked, never-retransmitted
-        # segment (Karn's algorithm).
-        for rec in self.rtx_queue:
-            if seq_ge(ack, rec.end_seq) and not rec.retransmitted:
-                self.rtt.sample(self.clock() - rec.time_sent)
-                return
-            if seq_lt(rec.seq, ack):
-                continue
-            break
 
     def _drop_acked_rtx(self, ack: int) -> None:
         rtx = self.rtx_queue
@@ -571,15 +620,21 @@ class TcpConnection:
             return  # state.can_send_data, inlined
         reno = self.reno
         mss = reno.mss
-        gso = self.config.gso_segments
+        config = self.config
+        gso = config.gso_segments
         send_cap = mss * (gso if gso > 1 else 1)
-        materialize = self.config.materialize_payload
+        read_payload = config.materialize_payload or getattr(source, "materialize", False)
         source_available = source.available
         base_seq = self._send_base_seq
         min_room = 1 if mss > 1 else mss
+        # The clock, the timestamp pair and the advertised window cannot
+        # change inside one simulated event, so every segment sent here
+        # carries the same ones.
+        now = window = ts = None
         while True:
             # flight_size / effective_window, inlined.
-            flight = (self.snd_nxt - self.snd_una) & _SEQ_MASK
+            snd_nxt = self.snd_nxt
+            flight = (snd_nxt - self.snd_una) & _SEQ_MASK
             if flight >= _SEQ_HALF:
                 flight -= 1 << 32
             cwnd = reno.cwnd
@@ -587,7 +642,7 @@ class TcpConnection:
             room = (cwnd if cwnd < snd_wnd else snd_wnd) - flight
             if room < min_room:
                 break
-            offset = (self.snd_nxt - base_seq) & _SEQ_MASK
+            offset = (snd_nxt - base_seq) & _SEQ_MASK
             if offset >= _SEQ_HALF:
                 offset -= 1 << 32
             avail = source_available(offset)
@@ -605,12 +660,31 @@ class TcpConnection:
                 # §4.2.3.4): don't emit a sub-MSS segment while more data is
                 # queued and in-flight data will open the window.
                 break
-            payload = source.read(offset, length) if materialize else None
-            if payload is None and hasattr(source, "materialize") and source.materialize:
-                payload = source.read(offset, length)
-            self._send_data_segment(self.snd_nxt, length, payload)
-            self.snd_nxt = (self.snd_nxt + length) & _SEQ_MASK
-        self._try_send_fin_or_data()
+            if now is None:
+                now = self.clock()
+                ts = self._ts_pair(now)
+                window = self._advertised_window_field()
+            payload = source.read(offset, length) if read_payload else None
+            if payload is None:
+                pkt = self._template.make(
+                    snd_nxt, self.rcv_nxt, _ACK_PSH, window, length, None, ts
+                )
+            else:
+                pkt = self._build_packet(snd_nxt, _ACK_PSH, length, payload)
+            pkt.created_time = now
+            self.rtx_queue.append(_RtxRecord(snd_nxt, length, False, False, now))
+            if self._delack_timer is not None:
+                # The segment carries the ACK: a pending delayed ACK is
+                # satisfied.
+                self._cancel_delack()
+                self._segs_since_ack = 0
+            if self._rto_timer is None:
+                self._arm_rto()
+            self.stats.segs_out += 1
+            self.transport.send_packet(self, pkt)
+            self.snd_nxt = (snd_nxt + length) & _SEQ_MASK
+        if self._fin_pending and not self._fin_sent:
+            self._try_send_fin_or_data()
 
     def _try_send_fin_or_data(self) -> None:
         if not self._fin_pending or self._fin_sent:
@@ -648,11 +722,12 @@ class TcpConnection:
     # ------------------------------------------------------------------
     # packet construction
     # ------------------------------------------------------------------
-    def _ts_pair(self) -> Optional[Tuple[int, int]]:
-        if not self.config.use_timestamps:
+    def _ts_pair(self, now: float) -> Optional[Tuple[int, int]]:
+        """The (tsval, tsecr) pair a segment sent at ``now`` carries."""
+        config = self.config
+        if not config.use_timestamps:
             return None
-        tsval = int(self.clock() * self.config.ts_clock_hz) & 0xFFFFFFFF
-        return (tsval, self.ts_recent)
+        return (int(now * config.ts_clock_hz) & 0xFFFFFFFF, self.ts_recent)
 
     def _advertised_window_field(self) -> int:
         config = self.config
@@ -676,17 +751,18 @@ class TcpConnection:
         payload: Optional[bytes] = None,
         options: Optional[TcpOptions] = None,
     ) -> Packet:
-        if options is None:
-            options = TcpOptions.timestamp_only(self._ts_pair())
+        now = self.clock()
         ack = self.rcv_nxt if (int(flags) & _F_ACK) else 0
         window = self._advertised_window_field()
         if payload is None:
             # Length-only fast path: stamp the packet from the per-connection
             # template; the IP checksum stays deferred until serialization.
             pkt = self._template.make(
-                seq, ack, flags, window, payload_len=payload_len, options=options
+                seq, ack, flags, window, payload_len, options, self._ts_pair(now)
             )
         else:
+            if options is None:
+                options = TcpOptions(timestamp=self._ts_pair(now))
             tcp = TcpHeader(
                 src_port=self.key.src_port,
                 dst_port=self.key.dst_port,
@@ -699,7 +775,7 @@ class TcpConnection:
             ip = IPv4Header(src_ip=self.key.src_ip, dst_ip=self.key.dst_ip)
             pkt = Packet(ip=ip, tcp=tcp, payload=payload, payload_len=payload_len)
             pkt.refresh_lengths()
-        pkt.created_time = self.clock()
+        pkt.created_time = now
         return pkt
 
     def _send_control(self, flags: TcpFlags, syn_options: bool = False) -> None:
@@ -717,27 +793,6 @@ class TcpConnection:
                 )
             )
             self.snd_nxt = seq_add(self.snd_nxt, 1)
-        self.stats.segs_out += 1
-        self.transport.send_packet(self, pkt)
-
-    def _send_data_segment(self, seq: int, length: int, payload: Optional[bytes]) -> None:
-        if payload is None:
-            # ACK-clocked fast path: stamp straight from the template
-            # (equivalent to _build_packet with ACK|PSH and no payload).
-            pkt = self._template.make(
-                seq,
-                self.rcv_nxt,
-                _ACK_PSH,
-                self._advertised_window_field(),
-                payload_len=length,
-                options=TcpOptions.timestamp_only(self._ts_pair()),
-            )
-            pkt.created_time = self.clock()
-        else:
-            pkt = self._build_packet(seq, _ACK_PSH, payload_len=length, payload=payload)
-        self.rtx_queue.append(_RtxRecord(seq, length, fin=False, syn=False, time_sent=self.clock()))
-        self._cancel_delack_for_piggyback()
-        self._arm_rto()
         self.stats.segs_out += 1
         self.transport.send_packet(self, pkt)
 
@@ -761,7 +816,7 @@ class TcpConnection:
         event = AckEvent(
             acks=list(acks),
             window=self._advertised_window_field(),
-            timestamp=self._ts_pair(),
+            timestamp=self._ts_pair(self.clock()),
             sack_blocks=list(sack_blocks or []),
         )
         self.stats.acks_generated += len(acks)
@@ -775,12 +830,9 @@ class TcpConnection:
         ACK-offload driver when it expands a template (§4.2).
         """
         sacks = event.sack_blocks
-        if sacks:
-            options = TcpOptions(timestamp=event.timestamp, sack_blocks=list(sacks))
-        else:
-            options = TcpOptions.timestamp_only(event.timestamp)
+        options = TcpOptions(timestamp=event.timestamp, sack_blocks=list(sacks)) if sacks else None
         pkt = self._template.make(
-            self.snd_nxt, ack, TcpFlags.ACK, event.window, options=options
+            self.snd_nxt, ack, TcpFlags.ACK, event.window, 0, options, event.timestamp
         )
         pkt.created_time = self.clock()
         return pkt
@@ -802,7 +854,8 @@ class TcpConnection:
         if not self.state.can_receive_data and not fin:
             return
 
-        if length > 0 and seq_le(seq_add(seq, length), self.rcv_nxt):
+        d = (seq + length - self.rcv_nxt) & _SEQ_MASK  # seq_le(seq + length, rcv_nxt)
+        if length > 0 and (d == 0 or d >= _SEQ_HALF):
             # Entirely duplicate data: re-ACK immediately (the peer is
             # probably retransmitting because an ACK got lost).
             self._send_pure_acks([self.rcv_nxt], self._current_sack_blocks())
@@ -831,11 +884,11 @@ class TcpConnection:
         fin: bool,
     ) -> None:
         if length > 0:
-            self.rcv_nxt = seq_add(self.rcv_nxt, length)
+            self.rcv_nxt = (self.rcv_nxt + length) & _SEQ_MASK
             self._deliver(payload, length)
 
         # Merge any now-contiguous out-of-order data.
-        drained = self._ooo_drain()
+        drained = self._ooo_drain() if self._ooo else False
 
         if fin and not self._fin_rcvd:
             self._fin_rcvd = True
@@ -931,12 +984,6 @@ class TcpConnection:
         if self._delack_timer is not None:
             self._delack_timer.cancel()
             self._delack_timer = None
-
-    def _cancel_delack_for_piggyback(self) -> None:
-        """Outbound data carries the ACK; a pending delayed ACK is satisfied."""
-        if self._delack_timer is not None:
-            self._cancel_delack()
-            self._segs_since_ack = 0
 
     def _delack_fire(self) -> None:
         self._delack_timer = None

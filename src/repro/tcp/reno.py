@@ -47,7 +47,7 @@ class RenoState:
         layer must replay each fragment's ACK (§3.4, case 1): Reno counts
         acknowledgments, not bytes.
         """
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:  # in_slow_start
             self.cwnd += min(acked_bytes, self.mss)
         else:
             # Congestion avoidance: ~1 MSS per RTT, implemented per-ACK.

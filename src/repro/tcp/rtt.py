@@ -16,7 +16,7 @@ class RttEstimator:
     # needs Python 3.10.
     __slots__ = (
         "alpha", "beta", "k", "min_rto", "max_rto", "clock_granularity",
-        "srtt", "rttvar", "samples", "last_sample",
+        "srtt", "rttvar", "samples", "last_sample", "rto",
     )
 
     def __init__(
@@ -38,6 +38,10 @@ class RttEstimator:
         self.rttvar: Optional[float] = None
         self.samples = 0
         self.last_sample: Optional[float] = None
+        #: Current retransmission timeout: RFC 6298's initial 1 s until the
+        #: first sample.  It changes only in :meth:`sample`, so it is
+        #: computed there rather than on every RTO restart that reads it.
+        self.rto = 1.0
 
     def sample(self, rtt: float) -> None:
         """Fold one RTT measurement into the estimate (never from a
@@ -52,11 +56,5 @@ class RttEstimator:
         else:
             self.rttvar = (1 - self.beta) * self.rttvar + self.beta * abs(self.srtt - rtt)
             self.srtt = (1 - self.alpha) * self.srtt + self.alpha * rtt
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout."""
-        if self.srtt is None:
-            return 1.0  # RFC 6298 initial RTO
         candidate = self.srtt + max(self.clock_granularity, self.k * self.rttvar)
-        return min(self.max_rto, max(self.min_rto, candidate))
+        self.rto = min(self.max_rto, max(self.min_rto, candidate))

@@ -100,10 +100,7 @@ class DriverDomain:
     def _reparent_to_guest(self, skb: SkBuff) -> SkBuff:
         """Free the driver-domain sk_buff and allocate the guest's."""
         guest_skb = self.guest_pool.alloc(skb.head, now=self.cpu.sim.now)
-        guest_skb.frags = skb.frags
-        guest_skb.frag_acks = skb.frag_acks
-        guest_skb.frag_end_seqs = skb.frag_end_seqs
-        guest_skb.frag_windows = skb.frag_windows
+        guest_skb.adopt_chain(skb)
         guest_skb.csum_verified = skb.csum_verified
         skb.free()
         # Driver-domain sk_buff free, guest sk_buff alloc.

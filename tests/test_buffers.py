@@ -64,8 +64,8 @@ def test_skb_fragment_geometry():
     assert skb.nr_segments == 1
     assert skb.nr_frags == 0
     assert not skb.is_aggregated
-    skb.frags.append(_pkt(seq=1448, length=1448))
-    skb.frags.append(_pkt(seq=2896, length=100))
+    skb.chain(_pkt(seq=1448, length=1448))
+    skb.chain(_pkt(seq=2896, length=100))
     assert skb.nr_segments == 3
     assert skb.payload_len == 1448 + 1448 + 100
     assert skb.is_aggregated
@@ -77,7 +77,7 @@ def test_skb_payload_bytes_concatenates_fragments():
     pool = BufferPool("t")
     head = make_data_segment(SRC, DST, 1, 2, seq=0, ack=0, payload=b"aaa")
     skb = pool.alloc(head)
-    skb.frags.append(make_data_segment(SRC, DST, 1, 2, seq=3, ack=0, payload=b"bb"))
+    skb.chain(make_data_segment(SRC, DST, 1, 2, seq=3, ack=0, payload=b"bb"))
     assert skb.payload_bytes() == b"aaabb"
     skb.free()
 
@@ -103,6 +103,6 @@ def test_segments_order():
     pool = BufferPool("t")
     skb = pool.alloc(_pkt(seq=0, length=10))
     f1 = _pkt(seq=10, length=10)
-    skb.frags.append(f1)
+    skb.chain(f1)
     assert skb.segments() == [skb.head, f1]
     skb.free()

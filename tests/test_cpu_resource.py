@@ -1,12 +1,19 @@
 """The CPU as a serial resource: task ordering, time accounting, views."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.cpu.categories import Category
 from repro.cpu.cpu import Cpu
 from repro.cpu.locks import LockModel
 from repro.cpu.view import CpuView
+from repro.obs import runtime as obs_runtime
+from repro.obs.ledger import CycleLedger
 from repro.sim.engine import Simulator
+from repro.xen.costs import XenCostModel
+from repro.xen.machine import GUEST_CATEGORY_MAP
 
 
 def test_consume_advances_busy_until(sim):
@@ -125,3 +132,105 @@ def test_view_passthrough_properties(sim):
     assert view.sim is sim
     assert view.profiler is cpu.profiler
     assert view.costs is cpu.costs
+
+
+# ---------------------------------------------------------------- exact charging
+class _ReferenceCpu:
+    """The arithmetic ``Cpu.consume`` had before each CPU resolved its
+    categories once: the reference the charging path must equal bit for
+    bit."""
+
+    def __init__(self, cpu, ledger):
+        self.name = cpu.name
+        self.sim = cpu.sim
+        self.freq_hz = cpu.freq_hz
+        self.locks = cpu.locks
+        self.ledger = ledger
+        self.busy_cycles = 0.0
+        self.busy_until = 0.0
+        #: category -> cycles, in first-charge order.
+        self.cycles = {}
+
+    def consume(self, cycles, category):
+        if cycles <= 0:
+            return
+        if self.locks.enabled:
+            cycles = cycles * self.locks.factors.get(category, 1.0)
+        self.cycles[category] = self.cycles.get(category, 0.0) + cycles
+        self.busy_cycles += cycles
+        self.busy_until += cycles / self.freq_hz
+        if self.ledger is not None:
+            self.ledger.charge(self, cycles, category)
+
+
+class _ReferenceView:
+    """``CpuView.consume`` before per-view resolution, over a reference CPU."""
+
+    def __init__(self, ref, category_map, scale_map):
+        self.ref = ref
+        self.category_map = category_map
+        self.scale_map = scale_map
+
+    def consume(self, cycles, category):
+        if self.scale_map:
+            cycles = cycles * self.scale_map.get(category, 1.0)
+        if self.category_map:
+            category = self.category_map.get(category, category)
+        self.ref.consume(cycles, category)
+
+
+#: Native categories, plus two no profiler has seen before the run.
+_CHARGE_CATEGORIES = (
+    Category.RX, Category.TX, Category.BUFFER, Category.NON_PROTO, Category.DRIVER,
+    Category.MISC, Category.AGGR, Category.PER_BYTE, "exact-test-late-a", "exact-test-late-b",
+)
+_CYCLES = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=20_000),
+    st.floats(min_value=-1.0, max_value=1e6, allow_nan=False),
+)
+
+
+def _target(kind, sim):
+    """(what the path charges, the CPU it lands on, the reference path)."""
+    if kind == "up":
+        cpu = Cpu(sim, freq_hz=3e9, locks=LockModel(enabled=False), name="up")
+    else:
+        cpu = Cpu(sim, freq_hz=2.4e9, locks=LockModel(enabled=kind == "smp"), name=kind)
+    ledger = CycleLedger("reference") if cpu._led is not None else None
+    ref = _ReferenceCpu(cpu, ledger)
+    if kind != "xen":
+        return cpu, cpu, ref, ref
+    category_map = dict(GUEST_CATEGORY_MAP)
+    scale_map = dict(XenCostModel().guest_scale)
+    view = CpuView(cpu, category_map=category_map, scale_map=scale_map, name="guest")
+    return view, cpu, _ReferenceView(ref, category_map, scale_map), ref
+
+
+@pytest.mark.parametrize("ledger", [False, True], ids=["ledger_off", "ledger_on"])
+@pytest.mark.parametrize("kind", ["up", "smp", "xen"])
+@settings(max_examples=60, deadline=None)
+@given(charges=st.lists(st.tuples(_CYCLES, st.sampled_from(_CHARGE_CATEGORIES)), min_size=1, max_size=60))
+def test_charging_is_bit_identical_to_one_charge_arithmetic(kind, ledger, charges):
+    """Any charge sequence leaves the CPU's clocks and profiler (values and
+    first-charge order) ``==`` to the reference arithmetic, and the ledger's
+    cells equal to a ledger fed by that reference."""
+    obs.reset()
+    try:
+        if ledger:
+            obs.configure(ledger=True)
+        with obs_runtime.observe("exact") as o:
+            path, cpu, ref_path, ref = _target(kind, Simulator())
+        for cycles, category in charges:
+            path.consume(cycles, category)
+            ref_path.consume(cycles, category)
+    finally:
+        obs.reset()
+    assert cpu.busy_cycles == ref.busy_cycles
+    assert cpu.busy_until == ref.busy_until
+    assert list(cpu.profiler.cycles.items()) == list(ref.cycles.items())
+    if ledger:
+        assert o.ledger.verify([cpu]) == []
+        assert o.ledger.cells == ref.ledger.cells
+        assert o.ledger.cat_float == ref.ledger.cat_float
+        assert o.ledger.cpu_float == ref.ledger.cpu_float

@@ -83,7 +83,7 @@ def data_skb(kernel, seq, length=MSS, n_frags=1, ack=None):
         for i in range(1, n_frags):
             frag = make_data_segment(CLIENT, SERVER, 10000, 5001, seq=seq + i * length,
                                      ack=pkt.tcp.ack, payload_len=length, timestamp=(2, 1))
-            skb.frags.append(frag)
+            skb.chain(frag)
         skb.frag_end_seqs = [seq + (i + 1) * length for i in range(n_frags)]
         skb.frag_acks = [pkt.tcp.ack] * n_frags
         skb.frag_windows = [65535] * n_frags

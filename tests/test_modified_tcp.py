@@ -2,7 +2,7 @@
 as if every network packet had been processed individually."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.modified_tcp import acks_for_fragments, replay_fragment_acks
@@ -10,8 +10,10 @@ from repro.net.addresses import ip_from_str
 from repro.net.flow import FlowKey
 from repro.net.packet import make_data_segment
 from repro.sim.engine import Simulator
-from repro.tcp.connection import TcpConfig, TcpConnection
+from repro.tcp.connection import TcpConfig, TcpConnection, _RtxRecord
 from repro.tcp.reno import RenoState
+from repro.tcp.seqmath import seq_le
+from repro.tcp.source import InfiniteSource
 from repro.tcp.state import TcpState
 
 SERVER = ip_from_str("10.0.0.1")
@@ -185,3 +187,105 @@ def test_ack_equivalence_property(frag_counts):
     plain_acks = [a for e in plain_t.events for a in e.acks]
     assert agg_acks == plain_acks
     assert agg_conn.rcv_nxt == plain_conn.rcv_nxt
+
+
+# ---------------------------------------------------------------- replay early exit
+def _replay_reference(conn, pkt, frag_acks, end_seqs, windows, agg_len):
+    """``on_segment`` for an aggregated data segment on an established
+    connection, with the §3.4 ACK replay as a plain per-fragment loop: the
+    reference the replay's early exit must match."""
+    conn.stats.segs_in += len(frag_acks)
+    ts = pkt.tcp.options.timestamp
+    if ts is not None and seq_le(pkt.tcp.seq, conn.rcv_nxt):
+        conn.ts_recent = ts[0]
+    last = len(frag_acks) - 1
+    for i, ack in enumerate(frag_acks):
+        conn.stats.frag_acks_processed += 1
+        conn._process_ack(ack, windows[i], pkt, count_dup=(i == last))
+    conn._process_data(pkt, agg_len, None, end_seqs)
+
+
+def _timer_state(timer):
+    return None if timer is None else (timer.time, timer.seq, timer.cancelled)
+
+
+def _observable(conn, sim, transport):
+    stats = conn.stats
+    return {
+        "snd": (conn.snd_una, conn.snd_nxt, conn.snd_wnd, conn.snd_wl1, conn.snd_wl2),
+        "persist": _timer_state(conn._persist_timer),
+        "rto": _timer_state(conn._rto_timer),
+        "delack": _timer_state(conn._delack_timer),
+        "reno": (conn.reno.cwnd, conn.reno.ssthresh, conn.reno.dup_acks, conn.reno.recover),
+        "stats": {name: getattr(stats, name) for name in type(stats).__slots__},
+        "rcv": (conn.rcv_nxt, conn.ts_recent, conn._segs_since_ack),
+        "sim": (sim._seq, sim.pending),
+        "sent": [
+            (p.tcp.seq, p.tcp.ack, int(p.tcp.flags), p.tcp.window, p.payload_len,
+             p.tcp.options.timestamp)
+            for p in transport.packets
+        ],
+        "acks": [(e.acks, e.window, e.timestamp, e.sack_blocks) for e in transport.events],
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=16),
+    data=st.data(),
+    with_source=st.booleans(),
+    in_flight=st.sampled_from([0, 0, 1, 3]),
+    persist_pending=st.booleans(),
+    wscale=st.sampled_from([0, 2]),
+    wl1=st.sampled_from([999, 1000, 1001]),
+    wl2_offset=st.sampled_from([-1, 0, 1]),
+    tsecr=st.sampled_from([0, 2]),
+)
+def test_replay_early_exit_matches_per_fragment_replay(
+    n, data, with_source, in_flight, persist_pending, wscale, wl1, wl2_offset, tsecr
+):
+    """The §3.4 replay's early exit (no source, nothing in flight, every
+    fragment ACK at snd_una, no zero window) must leave a connection exactly
+    as the per-fragment ``_process_ack`` loop does, on every input."""
+    steps = data.draw(st.lists(st.sampled_from([0, 0, 0, MSS]), min_size=n, max_size=n))
+    windows = data.draw(
+        st.lists(st.sampled_from([0, 1, 4 * MSS, 65535, 65535]), min_size=n, max_size=n)
+    )
+    frag_acks = []
+    ack = 501
+    for step in steps:
+        ack += step
+        frag_acks.append(ack)
+    end_seqs = [1000 + (i + 1) * MSS for i in range(n)]
+
+    twins = []
+    for _ in range(2):
+        sim = Simulator()
+        conn, transport = make_established(sim, aggregation_aware=True)
+        conn.peer_wscale = wscale
+        conn.snd_wnd = 8 * MSS
+        conn.snd_wl1 = wl1
+        conn.snd_wl2 = 501 + wl2_offset
+        if with_source:
+            conn.attach_source(InfiniteSource(limit_bytes=40 * MSS))
+        for k in range(in_flight):
+            conn.rtx_queue.append(_RtxRecord(501 + k * MSS, MSS, False, False, 0.0))
+        conn.snd_nxt = 501 + in_flight * MSS
+        if in_flight:
+            conn._arm_rto()
+        if persist_pending:
+            conn._arm_persist()
+        head = make_data_segment(CLIENT, SERVER, 10000, 5001, seq=1000, ack=frag_acks[0],
+                                 payload_len=MSS, timestamp=(3, tsecr))
+        # Aggregation's §3.2 rewrite: the head carries the last fragment's
+        # ACK and window.
+        head.tcp.ack = frag_acks[-1]
+        head.tcp.window = windows[-1]
+        twins.append((conn, sim, transport, head))
+
+    conn, sim, transport, head = twins[0]
+    conn.on_segment(head, frag_acks, end_seqs, windows, n, None, n * MSS)
+    ref, ref_sim, ref_transport, ref_head = twins[1]
+    _replay_reference(ref, ref_head, frag_acks, end_seqs, windows, n * MSS)
+
+    assert _observable(conn, sim, transport) == _observable(ref, ref_sim, ref_transport)

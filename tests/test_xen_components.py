@@ -51,9 +51,9 @@ def _skb(pool, n_frags=1):
     pkt.csum_verified = True
     skb = pool.alloc(pkt)
     for i in range(1, n_frags):
-        skb.frags.append(make_data_segment(CLIENT, SERVER, 10000, 5001,
-                                           seq=i * 1448, ack=0, payload_len=1448,
-                                           timestamp=(1, 0)))
+        skb.chain(make_data_segment(CLIENT, SERVER, 10000, 5001,
+                                    seq=i * 1448, ack=0, payload_len=1448,
+                                    timestamp=(1, 0)))
     return skb
 
 
