@@ -131,15 +131,6 @@ class Profiler:
         c = self._cycles
         return {_CATEGORY_NAMES[i]: c[i] for i in self._touched}
 
-    def count_network_packet(self, n: int = 1) -> None:
-        self.network_packets += n
-
-    def count_host_packet(self, n: int = 1) -> None:
-        self.host_packets += n
-
-    def count_ack_sent(self, n: int = 1) -> None:
-        self.acks_sent += n
-
     def snapshot(self, time: float) -> ProfileSnapshot:
         return ProfileSnapshot(
             cycles=self.cycles,

@@ -317,7 +317,7 @@ class E1000Driver:
             return
         self.stats.tx_packets += 1
         if pure_ack:
-            self.cpu.profiler.count_ack_sent()
+            self.cpu.profiler.acks_sent += 1
         self.cpu.defer(self.nic.transmit, pkt)
         if led is not None:
             led.pop_stage()

@@ -465,12 +465,11 @@ class TcpConnection:
         snd_una = self.snd_una
         acked = (ack - snd_una) & _SEQ_MASK
         if acked and acked < _SEQ_HALF:  # seq_gt(ack, snd_una)
-            tcp = pkt.tcp
             rtx = self.rtx_queue
             # RTT sample: an echoed timestamp gives the send time directly;
             # without one, time the oldest fully-acked, never-retransmitted
             # segment (Karn's algorithm).
-            ts = tcp.options.timestamp
+            ts = pkt.tcp.options.timestamp
             if ts is not None and ts[1]:
                 rtt = self.clock() - ts[1] / self.config.ts_clock_hz
                 if 0 <= rtt < 10:
@@ -482,13 +481,7 @@ class TcpConnection:
                         break
                     if not seq_lt(rec.seq, ack):
                         break
-            # Drop the records this ACK covers (seq_le inlined).
-            while rtx:
-                d = (rtx[0].end_seq - ack) & _SEQ_MASK
-                if d == 0 or d >= _SEQ_HALF:
-                    rtx.popleft()
-                else:
-                    break
+            self._drop_acked_rtx(ack)
             self.snd_una = ack
             self._rto_backoff = 0
             source = self.source
@@ -527,31 +520,16 @@ class TcpConnection:
                         self._retransmit_record(rec)
                         nxt = rec.end_seq
                     self._loss_recovery_nxt = nxt
-            # Window update (_update_snd_wnd inlined).
-            seq = tcp.seq
-            wl1 = self.snd_wl1
-            update = ((wl1 - seq) & _SEQ_MASK) >= _SEQ_HALF
-            if not update and wl1 == seq:
-                d = (self.snd_wl2 - tcp.ack) & _SEQ_MASK
-                update = d == 0 or d >= _SEQ_HALF
-            if update:
-                new_wnd = window_field << self.peer_wscale
-                self.snd_wnd = new_wnd
-                self.snd_wl1 = seq
-                self.snd_wl2 = tcp.ack
-                if new_wnd == 0:
-                    self._arm_persist()
-                elif self._persist_timer is not None:
-                    self._cancel_persist()
-            # RTO restart (_arm_rto inlined; the backoff is 0 here).  Only
-            # the first partial ACK of a recovery episode restarts it.
+            self._update_snd_wnd(pkt, window_field)
+            # RTO: cancelled once nothing is outstanding, else restarted
+            # (the backoff is 0 here).  Only the first partial ACK of a
+            # recovery episode restarts it.  A restart almost always moves
+            # the deadline later, so the pending timer is postponed in place.
             timer = self._rto_timer
             if not rtx:
-                if timer is not None:
-                    timer.cancel()
-                    self._rto_timer = None
+                self._cancel_rto()
             elif timer is None:
-                self._rto_timer = self.timers.schedule(self.rtt.rto, self._rto_fire)
+                self._arm_rto()
             elif self._recovery_partials <= 1 and not timer.postpone(self.rtt.rto):
                 timer.cancel()
                 self._rto_timer = self.timers.schedule(self.rtt.rto, self._rto_fire)
@@ -992,18 +970,13 @@ class TcpConnection:
             self._segs_since_ack = 0
             self._send_pure_acks([self.rcv_nxt])
 
-    def _arm_rto(self, restart: bool = False) -> None:
-        timer = self._rto_timer
-        if timer is not None and not restart:
+    def _arm_rto(self) -> None:
+        """Schedule the RTO, backed off, unless one is pending (an advancing
+        ACK restarts it in :meth:`_process_ack`)."""
+        if self._rto_timer is not None:
             return
         backoff = self._rto_backoff
         timeout = self.rtt.rto if backoff == 0 else self.rtt.rto * (2 ** backoff)
-        if timer is not None:
-            # A restart on an advancing ACK almost always moves the deadline
-            # later: postpone in place rather than allocate a new timer.
-            if timer.postpone(timeout):
-                return
-            timer.cancel()
         self._rto_timer = self.timers.schedule(timeout, self._rto_fire)
 
     def _cancel_rto(self) -> None:

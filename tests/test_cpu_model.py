@@ -101,7 +101,7 @@ def test_profiler_accumulates_and_snapshots():
     prof.add(Category.RX, 100)
     prof.add(Category.RX, 50)
     prof.add(Category.TX, 30)
-    prof.count_network_packet(3)
+    prof.network_packets += 3
     snap = prof.snapshot(time=1.0)
     assert snap.cycles[Category.RX] == 150
     assert snap.total_cycles == 180
@@ -111,11 +111,11 @@ def test_profiler_accumulates_and_snapshots():
 def test_snapshot_diff():
     prof = Profiler()
     prof.add(Category.RX, 100)
-    prof.count_network_packet(1)
+    prof.network_packets += 1
     s1 = prof.snapshot(1.0)
     prof.add(Category.RX, 40)
     prof.add(Category.MISC, 5)
-    prof.count_network_packet(2)
+    prof.network_packets += 2
     s2 = prof.snapshot(3.0)
     delta = s2.diff(s1)
     assert delta.cycles[Category.RX] == 40
@@ -135,8 +135,8 @@ def test_share_computation():
 
 def test_aggregation_degree():
     prof = Profiler()
-    prof.count_network_packet(20)
-    prof.count_host_packet(4)
+    prof.network_packets += 20
+    prof.host_packets += 4
     assert prof.aggregation_degree == 5.0
 
 
@@ -145,8 +145,8 @@ def test_merged_profiles():
     a.add(Category.RX, 10)
     b.add(Category.RX, 20)
     b.add(Category.TX, 5)
-    a.count_network_packet(1)
-    b.count_network_packet(2)
+    a.network_packets += 1
+    b.network_packets += 2
     merged = a.merged([b])
     assert merged.cycles[Category.RX] == 30
     assert merged.cycles[Category.TX] == 5

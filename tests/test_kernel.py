@@ -30,7 +30,7 @@ class FakeDriver:
     def tx(self, pkt, pure_ack=False):
         self.cpu.consume(self.cpu.costs.driver_tx_per_packet, Category.DRIVER)
         if pure_ack:
-            self.cpu.profiler.count_ack_sent()
+            self.cpu.profiler.acks_sent += 1
         self.packets.append(pkt)
 
     def tx_template(self, skb):
@@ -40,7 +40,7 @@ class FakeDriver:
 
         for pkt in expand_template(skb):
             self.cpu.consume(self.cpu.costs.ack_expand_per_ack, Category.DRIVER)
-            self.cpu.profiler.count_ack_sent()
+            self.cpu.profiler.acks_sent += 1
             self.packets.append(pkt)
         skb.free()
         self.cpu.consume(self.cpu.costs.skb_free, Category.BUFFER)

@@ -299,6 +299,45 @@ class TestPacketMutation:
                     self.payload = None
         """)
 
+    @pytest.mark.parametrize("stmt", [
+        "skb.frags.append(pkt)",
+        "skb.frags.extend([pkt])",
+        "skb.frags.insert(0, pkt)",
+        "self.skb.frags.append(pkt)",
+        "skbs[0].frags.append(pkt)",
+        "guest.frags = skb.frags",
+        "skb.frags += [pkt]",
+    ])
+    def test_skb_frags_change_fires(self, stmt):
+        fired, violations = rules_fired(f"""
+            def f(self, skb, skbs, guest, pkt):
+                {stmt}
+        """)
+        assert fired == ["packet-mutation"], violations
+        assert "SkBuff.chain" in violations[0].message
+
+    def test_skb_frags_owner_and_reads_clean(self):
+        owner = """
+            class SkBuff:
+                def chain(self, pkt):
+                    self.frags.append(pkt)
+
+                def adopt_chain(self, other):
+                    self.frags = other.frags
+        """
+        assert_clean("packet-mutation", owner, relname="src/repro/buffers/skbuff.py")
+        assert_clean("packet-mutation", """
+            class FakeSkb:
+                def __init__(self, pkts):
+                    self.frags = list(pkts[1:])
+
+            def f(skb, pkt):
+                skb.chain(pkt)
+                n = len(skb.frags)
+                last = skb.frags[-1]
+                return [p.payload_len for p in skb.frags], n, last
+        """)
+
 
 # ----------------------------------------------------------------------
 # float-eq
