@@ -7,14 +7,10 @@ Usage::
     python -m repro.analysis.simlint --list-rules      # what gets checked
     python -m repro.analysis.simlint --select wall-clock,float-eq src/
     python -m repro.analysis.simlint --format json src/ tests/
-    python -m repro.analysis.simlint --no-cache src/
 
 ``--whole-program`` adds the cross-module ownership rules
 (``cross-cpu-write``, ``uncharged-cycles``, ``slab-escape``), which build
-a symbol table and call graph over every linted file.  Results are cached
-by content hash in ``.simlint-cache.json`` (``--cache-path`` to move it,
-``--no-cache`` to bypass); editing any simlint source invalidates the
-whole cache, so a stale rule can never hide a finding.
+a symbol table and call graph over every linted file.
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 """
@@ -25,13 +21,10 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis.simlint.cache import LintCache
 from repro.analysis.simlint.core import Rule
 from repro.analysis.simlint.reporters import render_json, render_text
 from repro.analysis.simlint.rules import ALL_RULES, PROGRAM_RULES, RULES_BY_ID
 from repro.analysis.simlint.runner import default_rules, lint_paths
-
-DEFAULT_CACHE_PATH = ".simlint-cache.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,17 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the cross-module ownership rules "
         "(cross-cpu-write, uncharged-cycles, slab-escape)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the content-hash result cache",
-    )
-    parser.add_argument(
-        "--cache-path",
-        metavar="PATH",
-        default=DEFAULT_CACHE_PATH,
-        help=f"result cache location (default: {DEFAULT_CACHE_PATH})",
     )
     parser.add_argument(
         "--list-rules",
@@ -104,8 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         rules = [RULES_BY_ID[r] for r in wanted]
 
-    cache = None if args.no_cache else LintCache(args.cache_path)
-    violations = lint_paths(args.paths, rules=rules, cache=cache)
+    violations = lint_paths(args.paths, rules=rules)
     if args.format == "json":
         print(render_json(violations))
     else:

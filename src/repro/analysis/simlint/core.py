@@ -152,26 +152,6 @@ class Suppressions:
                 hit = True
         return hit
 
-    def used_marks(self) -> List[Tuple[int, str]]:
-        """(line, rule) pairs that suppressed at least one finding — the
-        unit the result cache persists so replayed runs can still judge
-        staleness."""
-        out: List[Tuple[int, str]] = []
-        for entry in self.entries:
-            for rule in sorted(entry.used):
-                out.append((entry.line, rule))
-        return out
-
-    def replay_marks(self, marks: Iterable[Tuple[int, str]]) -> None:
-        """Re-apply :meth:`used_marks` output from a previous (cached) run."""
-        by_line: Dict[int, Set[str]] = {}
-        for line, rule in marks:
-            by_line.setdefault(line, set()).add(rule)
-        for entry in self.entries:
-            hits = by_line.get(entry.line)
-            if hits:
-                entry.used |= hits & entry.rules
-
     def stale(
         self, active_rules: Set[str], known_rules: Set[str]
     ) -> Iterator[Tuple[AllowEntry, str]]:

@@ -11,18 +11,13 @@ Three passes compose here:
    Per-line/per-file suppressions apply exactly as for module rules.
 3. **Hygiene pass** — with ``unused-allow`` in the rule set, every allow
    comment that masked nothing across passes 1–2 is flagged as stale.
-
-An optional :class:`~repro.analysis.simlint.cache.LintCache` short-cuts
-passes 1 and 2 on content-hash hits; cached entries carry the suppression
-use-marks so pass 3 stays exact even when nothing was re-linted.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint.cache import LintCache, digest_text
 from repro.analysis.simlint.core import (
     ModuleContext,
     ProgramRule,
@@ -115,6 +110,41 @@ def _stale_allow_violations(
     return out
 
 
+def _lint_contexts(
+    contexts: Sequence[ModuleContext], rules: Optional[Iterable[Rule]]
+) -> List[Violation]:
+    module_rules, program_rules, hygiene = _split_rules(rules)
+    out: List[Violation] = []
+
+    # ---- pass 1: module rules -----------------------------------------
+    for ctx in contexts:
+        out.extend(_check_module(ctx, module_rules))
+
+    # ---- pass 2: program rules over one index of every file -----------
+    if program_rules and contexts:
+        by_path = {ctx.path: ctx for ctx in contexts}
+        index = ProgramIndex(contexts)
+        for rule in program_rules:
+            for violation in rule.check_program(index):
+                owner = by_path.get(violation.path)
+                if owner is None or not owner.suppressions.suppresses(violation):
+                    out.append(violation)
+
+    # ---- pass 3: stale-allow hygiene ---------------------------------
+    if hygiene is not None:
+        active_ids = _active_rule_ids(module_rules, program_rules, hygiene)
+        known_ids = _known_rule_ids()
+        for ctx in contexts:
+            out.extend(
+                _stale_allow_violations(
+                    hygiene, ctx.path, ctx.lines, ctx.suppressions, active_ids, known_ids
+                )
+            )
+
+    out.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    return out
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -126,28 +156,7 @@ def lint_source(
     Program rules in the rule set run over a single-module index, so the
     fixture-driven tests exercise them through the same entry point.
     """
-    module_rules, program_rules, hygiene = _split_rules(rules)
-    ctx = ModuleContext(path=path, source=source, relname=relname)
-    out = _check_module(ctx, module_rules)
-    if program_rules:
-        index = ProgramIndex([ctx])
-        for rule in program_rules:
-            for violation in rule.check_program(index):
-                if not ctx.suppressions.suppresses(violation):
-                    out.append(violation)
-    if hygiene is not None:
-        out.extend(
-            _stale_allow_violations(
-                hygiene,
-                path,
-                ctx.lines,
-                ctx.suppressions,
-                _active_rule_ids(module_rules, program_rules, hygiene),
-                _known_rule_ids(),
-            )
-        )
-    out.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return out
+    return _lint_contexts([ModuleContext(path=path, source=source, relname=relname)], rules)
 
 
 def lint_file(path: str, rules: Optional[Iterable[Rule]] = None) -> List[Violation]:
@@ -157,115 +166,14 @@ def lint_file(path: str, rules: Optional[Iterable[Rule]] = None) -> List[Violati
 
 
 def lint_paths(
-    paths: Sequence[str],
-    rules: Optional[Iterable[Rule]] = None,
-    cache: Optional[LintCache] = None,
+    paths: Sequence[str], rules: Optional[Iterable[Rule]] = None
 ) -> List[Violation]:
     """Lint a file tree: module pass, optional program pass, hygiene pass."""
-    module_rules, program_rules, hygiene = _split_rules(rules)
-    module_sig = LintCache.rules_signature([r.id for r in module_rules])
-    files = list(iter_python_files(paths))
-
-    sources: Dict[str, str] = {}
-    digests: Dict[str, str] = {}
-    contexts: Dict[str, ModuleContext] = {}
-    #: path -> (line, rule) marks accumulated across cached + live passes.
-    marks: Dict[str, Set[Tuple[int, str]]] = {path: set() for path in files}
-    out: List[Violation] = []
-
-    # ---- pass 1: module rules (cache-aware per file) ------------------
-    for path in files:
+    contexts = []
+    for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        sources[path] = source
-        digests[path] = digest_text(source)
-        cached = (
-            cache.get(cache.module_key(path, digests[path], module_sig))
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            violations, cached_marks = cached
-            out.extend(violations)
-            marks[path].update((line, rule) for _p, line, rule in cached_marks)
-            continue
-        ctx = ModuleContext(path=path, source=source, relname=path)
-        contexts[path] = ctx
-        violations = _check_module(ctx, module_rules)
-        out.extend(violations)
-        module_marks = set(ctx.suppressions.used_marks())
-        marks[path].update(module_marks)
-        if cache is not None:
-            cache.put(
-                cache.module_key(path, digests[path], module_sig),
-                violations,
-                [(path, line, rule) for line, rule in sorted(module_marks)],
-            )
-
-    # ---- pass 2: program rules (cached on the aggregate digest) -------
-    if program_rules and files:
-        program_sig = LintCache.rules_signature([r.id for r in program_rules])
-        program_key = (
-            cache.program_key(sorted(digests.items()), program_sig)
-            if cache is not None
-            else None
-        )
-        cached = cache.get(program_key) if cache is not None else None
-        if cached is not None:
-            violations, cached_marks = cached
-            out.extend(violations)
-            for mark_path, line, rule in cached_marks:
-                if mark_path in marks:
-                    marks[mark_path].add((line, rule))
-        else:
-            for path in files:
-                if path not in contexts:
-                    contexts[path] = ModuleContext(
-                        path=path, source=sources[path], relname=path
-                    )
-            by_path = {contexts[path].path: contexts[path] for path in files}
-            pre_marks = {
-                path: set(contexts[path].suppressions.used_marks()) for path in files
-            }
-            index = ProgramIndex([contexts[path] for path in files])
-            program_violations: List[Violation] = []
-            for rule in program_rules:
-                for violation in rule.check_program(index):
-                    ctx = by_path.get(violation.path)
-                    if ctx is None or not ctx.suppressions.suppresses(violation):
-                        program_violations.append(violation)
-            out.extend(program_violations)
-            program_marks: List[Tuple[str, int, str]] = []
-            for path in files:
-                fresh = set(contexts[path].suppressions.used_marks()) - pre_marks[path]
-                marks[path].update(fresh)
-                program_marks.extend((path, line, rule) for line, rule in sorted(fresh))
-            if cache is not None and program_key is not None:
-                cache.put(program_key, program_violations, program_marks)
-
-    # ---- pass 3: stale-allow hygiene ---------------------------------
-    if hygiene is not None:
-        active_ids = _active_rule_ids(module_rules, program_rules, hygiene)
-        known_ids = _known_rule_ids()
-        for path in files:
-            ctx = contexts.get(path)
-            if ctx is not None:
-                suppressions = ctx.suppressions
-                lines: Sequence[str] = ctx.lines
-            else:
-                lines = sources[path].splitlines()
-                suppressions = Suppressions.scan(list(lines))
-            suppressions.replay_marks(sorted(marks[path]))
-            out.extend(
-                _stale_allow_violations(
-                    hygiene, path, lines, suppressions, active_ids, known_ids
-                )
-            )
-
-    if cache is not None:
-        cache.save()
-    out.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return out
+            contexts.append(ModuleContext(path=path, source=fh.read(), relname=path))
+    return _lint_contexts(contexts, rules)
 
 
 def default_rules(whole_program: bool = False) -> List[Rule]:

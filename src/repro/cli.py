@@ -32,48 +32,72 @@ FILE.json`` arms a deterministic fault schedule on top.  Experiments that
 do not take impairments reject the flags loudly rather than ignoring them.
 Impaired rows stay bit-identical between serial and ``--jobs`` runs.
 
-Observability flags (on ``run``/``all``; see :mod:`repro.obs`):
-``--trace PATH`` writes a merged Chrome trace-event JSON (open at
-ui.perfetto.dev); ``--metrics-out PATH`` writes every run's metrics
-registry; ``--sample-interval SEC`` samples throughput/cwnd/queue-depth
-series in sim time and prints a text dashboard; ``--profile-out PATH``
-writes the per-category cycle breakdown; ``--ledger-out PATH`` writes the
-exact cycle ledger — every cycle attributed along (cpu, category,
-lifecycle stage, flow class, sim-time phase), reconciled bit-exactly
-against the profiler — and ``--flame-out PATH`` the same attribution as
+Observability flags (see :mod:`repro.obs`): ``--trace PATH`` writes a
+merged Chrome trace-event JSON (open at ui.perfetto.dev); ``--metrics-out
+PATH`` writes every run's metrics registry; ``--sample-interval SEC``
+samples throughput/cwnd/queue-depth series in sim time and prints a text
+dashboard.  ``run`` alone also takes ``--ledger-out PATH``, the exact
+cycle ledger — every cycle attributed along (cpu, category, lifecycle
+stage, flow class, sim-time phase), reconciled bit-exactly against the
+profiler — and ``--flame-out PATH``, the same attribution as
 collapsed-stack flamegraph text.  Ledger exports feed ``python -m
-repro.obs diff A.json B.json`` (exact differential profiling).  All are
-collected in-process:
-sweep points dispatched to ``--jobs`` workers are not traced.  Measured
-rows are bit-identical with or without these flags.
+repro.obs diff A.json B.json`` (exact differential profiling).  All five
+are collected in-process, so none of them combines with ``--jobs`` above
+one worker on an experiment that sweeps in worker processes: that exits 2
+before anything runs instead of writing a partial export.
+``--profile-out PATH`` (on ``run``) writes the per-category cycle
+breakdown from the rows, so it works with ``--jobs``.  Measured rows are
+bit-identical with or without any of these flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from typing import List
+from typing import List, Optional
 
 from repro.analysis.export import breakdown_to_json, result_to_csv, results_to_csv_files
 from repro.analysis.validation import validate
 from repro.experiments.runner import REGISTRY, run_all, run_experiment
+from repro.parallel import resolve_jobs
+
+#: Flags whose collectors live in this process (``args`` attribute names).
+_OBS_FLAGS = ("trace", "metrics_out", "sample_interval", "ledger_out", "flame_out")
 
 
-def _obs_requested(args) -> bool:
-    return bool(
-        getattr(args, "trace", None)
-        or getattr(args, "metrics_out", None)
-        or getattr(args, "sample_interval", None)
-        or getattr(args, "ledger_out", None)
-        or getattr(args, "flame_out", None)
+def _obs_flags_given(args) -> List[str]:
+    return [
+        "--" + name.replace("_", "-") for name in _OBS_FLAGS if getattr(args, name, None)
+    ]
+
+
+def _obs_jobs_error(args) -> Optional[str]:
+    """Why this command line would export a partial observation, if it would.
+
+    The collectors run in this process, so sweep points sent to ``--jobs``
+    worker processes would be missing from every export.
+    """
+    flags = _obs_flags_given(args)
+    jobs = getattr(args, "jobs", None)
+    if not flags or resolve_jobs(jobs) <= 1:
+        return None
+    ids = [args.experiment] if args.command == "run" else list(REGISTRY)
+    swept = [eid for eid in ids if "jobs" in inspect.signature(REGISTRY[eid]).parameters]
+    if not swept:
+        return None
+    return (
+        f"{', '.join(flags)} cannot be combined with --jobs {jobs}: "
+        f"{', '.join(swept)} would run sweep points in worker processes, "
+        "which the in-process collectors never see; run without --jobs"
     )
 
 
 def _obs_setup(args) -> None:
     """Turn CLI observability flags into the process-global obs config."""
-    if not _obs_requested(args):
+    if not _obs_flags_given(args):
         return
     from repro import obs
 
@@ -87,7 +111,7 @@ def _obs_setup(args) -> None:
 
 def _obs_export(args) -> None:
     """Write/print everything the finished runs collected."""
-    if not _obs_requested(args):
+    if not _obs_flags_given(args):
         return
     from repro import obs
 
@@ -234,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument(
             "--trace", metavar="PATH",
             help="record packet-lifecycle spans and write a Chrome "
-            "trace-event JSON (view at ui.perfetto.dev); in-process runs "
-            "only — sweep points sent to --jobs workers are not traced",
+            "trace-event JSON (view at ui.perfetto.dev); like every "
+            "observability flag, refused with --jobs above 1 on sweep "
+            "experiments, whose worker processes it cannot see",
         )
         sub_parser.add_argument(
             "--metrics-out", metavar="PATH",
@@ -247,18 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="sample throughput/cwnd/queue-depth series every SEC "
             "simulated seconds and print a text dashboard (with per-stage "
             "sojourn p50/p90/p99 when --trace is also on)",
-        )
-        sub_parser.add_argument(
-            "--ledger-out", metavar="PATH",
-            help="attribute every CPU cycle along (cpu, category, stage, "
-            "flow, phase) and write the exact ledgers as JSON; only "
-            "experiments whose runs are observable accept this "
-            "(loud error otherwise)",
-        )
-        sub_parser.add_argument(
-            "--flame-out", metavar="PATH",
-            help="write the cycle ledger as collapsed-stack flamegraph "
-            "text (flamegraph.pl / speedscope)",
         )
 
     p_run = sub.add_parser("run", help="run one experiment")
@@ -315,6 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
         "the same Category names the figure tables use",
     )
     add_obs_flags(p_run)
+    p_run.add_argument(
+        "--ledger-out", metavar="PATH",
+        help="attribute every CPU cycle along (cpu, category, stage, "
+        "flow, phase) and write the exact ledgers as JSON; only "
+        "experiments whose runs are observable accept this "
+        "(loud error otherwise)",
+    )
+    p_run.add_argument(
+        "--flame-out", metavar="PATH",
+        help="write the cycle ledger as collapsed-stack flamegraph "
+        "text (flamegraph.pl / speedscope)",
+    )
     p_run.set_defaults(fn=_cmd_run)
 
     p_all = sub.add_parser("all", help="run every experiment")
@@ -337,6 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
+    error = _obs_jobs_error(args)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     if getattr(args, "sanitize", False):
         from repro.analysis.sanitizer import install
 

@@ -64,12 +64,3 @@ def acks_for_fragments(
             acks.append(end_seq)
             count = 0
     return acks, count
-
-
-def cumulative_cwnd_growth(mss: int, ssthresh: int, cwnd: int, frag_acks: Sequence[int], snd_una: int) -> int:
-    """Closed-form cwnd after replaying ``frag_acks`` (for property tests)."""
-    reno = RenoState(mss=mss)
-    reno.cwnd = cwnd
-    reno.ssthresh = ssthresh
-    replay_fragment_acks(reno, snd_una, frag_acks)
-    return reno.cwnd

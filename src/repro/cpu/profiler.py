@@ -74,10 +74,6 @@ class ProfileSnapshot:
             return 0.0
         return self.cycles.get(category, 0.0) / total
 
-    def group_cycles_per_packet(self, categories: Iterable[str]) -> float:
-        n = max(self.network_packets, 1)
-        return math.fsum(self.cycles.get(c, 0.0) for c in categories) / n
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form, keyed by the same ``Category`` names the figure
         tables use (so traces, metrics, and breakdowns join cleanly)."""

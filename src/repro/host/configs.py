@@ -20,7 +20,7 @@ each constant is charged) is simulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cpu.cache import CacheModel, PrefetchMode
@@ -74,12 +74,6 @@ class SystemConfig:
     #: the flat :class:`~repro.cpu.cache.CacheModel`, byte-identical to the
     #: pre-hierarchy code, which is what all pinned figures run under.
     mem: Optional[MemConfig] = None
-
-    def with_prefetch(self, mode: PrefetchMode) -> "SystemConfig":
-        """A copy of this config with a different prefetch configuration
-        (used by the Figure 1 experiment)."""
-        new_costs = replace(self.costs, prefetch=mode)
-        return replace(self, costs=new_costs)
 
 
 def _native_costs(prefetch: PrefetchMode = PrefetchMode.FULL) -> CostModel:

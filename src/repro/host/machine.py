@@ -151,12 +151,6 @@ class ReceiverBase:
         """Tail drops summed over every queue of every NIC."""
         return sum(q.ring.dropped for nic in self.nics for q in nic.queues)
 
-    def per_queue_counters(self) -> List[dict]:
-        """Per-queue drop/occupancy rows (see reporting.queue_stats_rows)."""
-        from repro.analysis.reporting import queue_stats_rows
-
-        return queue_stats_rows(self.nics)
-
 
 class ReceiverMachine(ReceiverBase):
     """The server machine of the paper's evaluation, with ``queues``

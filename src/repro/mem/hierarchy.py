@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 #: (warm_local, warm_remote, cold_local, cold_remote) line counts captured
 #: when a delivered skb's payload is consumed from the hierarchy.
@@ -288,13 +288,3 @@ class MemoryHierarchy:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         occ = [node.io_occupancy for node in self.nodes]
         return f"MemoryHierarchy(nodes={len(self.nodes)}, io_occupancy={occ})"
-
-
-def flat_equivalent() -> Optional[MemConfig]:
-    """The flat-equivalent hierarchy setting: ``None``.
-
-    ``SystemConfig.mem = None`` routes every charge through the flat
-    :class:`~repro.cpu.cache.CacheModel`, byte-identical to the pre-mem
-    code — which is what all pinned figures run under.
-    """
-    return None

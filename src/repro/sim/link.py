@@ -187,20 +187,9 @@ class Link:
         self.stats_batches = 0
 
     # ------------------------------------------------------------------
-    def wire_bytes(self, frame: Any) -> int:
-        """Wire footprint of a frame: its MAC bytes plus fixed overhead."""
-        try:
-            return frame.wire_len + ETHERNET_WIRE_OVERHEAD
-        except AttributeError:
-            return len(frame) + ETHERNET_WIRE_OVERHEAD
-
     def busy(self) -> bool:
         """True while a frame is still being serialized."""
         return self._tx_free_at > self.sim.now
-
-    @property
-    def tx_free_at(self) -> float:
-        return self._tx_free_at
 
     def send(self, frame: Any) -> float:
         """Enqueue ``frame`` for transmission.

@@ -3,7 +3,8 @@
 The paper's evaluation tops out at 16 streaming connections (Figure 12);
 production receive paths serve tens of thousands.  This module generates the
 traffic shape those regimes actually see, sized by one knob
-(``n_connections``) so BENCH_speed can gate the engine at 1k/10k:
+(``n_connections``; ``tests/test_many_conn.py`` pins the 1k rig's event
+count and footprint, and perfbench times the 10k rig):
 
 * an **elephant/mice mix** — a small fraction of long-lived bulk streams
   (ACK-clocked, window-limited, like the streaming microbenchmark) over a

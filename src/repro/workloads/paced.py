@@ -71,7 +71,3 @@ class PacedSender:
         self.stopped = True
         if self._event is not None:
             self._event.cancel()
-
-    @property
-    def offered_bps(self) -> float:
-        return self.rate_bps

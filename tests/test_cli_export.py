@@ -102,6 +102,64 @@ def test_cli_report_quick(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------- obs flags
+def _must_not_run(*_args, **_kwargs):
+    raise AssertionError("an experiment ran")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--trace", "t.json"),
+    ("--metrics-out", "m.json"),
+    ("--sample-interval", "0.005"),
+    ("--ledger-out", "l.json"),
+    ("--flame-out", "f.flame"),
+])
+def test_cli_obs_flag_with_jobs_exits_before_running(flag, value, tmp_path, capsys, monkeypatch):
+    """The collectors never see sweep points sent to worker processes, so
+    an observability flag with --jobs above 1 on a sweep experiment exits 2,
+    naming both flags, before anything runs or is written."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "figure11", "--quick", "--jobs", "2", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "--jobs 2" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_all_obs_flag_with_jobs_exits_before_running(tmp_path, capsys, monkeypatch):
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "run_all", _must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(["all", "--quick", "--jobs", "2", "--metrics-out", "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert "--metrics-out" in err and "--jobs 2" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--ledger-out", "--flame-out"])
+def test_cli_all_rejects_ledger_flags(flag):
+    """Most experiments cannot export a ledger, so only ``run`` takes these."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["all", "--quick", flag, "x.json"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "figure11", "--jobs", "1", "--ledger-out", "l.json"],
+    ["run", "table1", "--jobs", "2", "--trace", "t.json"],
+    ["run", "figure11", "--jobs", "2", "--profile-out", "p.json"],
+], ids=["serial", "no-sweep-to-split", "profile-read-from-rows"])
+def test_cli_obs_output_without_worker_runs_is_accepted(argv, tmp_path, monkeypatch):
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda *_a, **_k: fake_result())
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert (tmp_path / argv[-1]).exists()
+
+
 def test_breakdown_to_json_transposes_categories():
     from repro.analysis.export import breakdown_to_json
 

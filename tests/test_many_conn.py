@@ -4,7 +4,6 @@ import gc
 
 import pytest
 
-from repro.analysis.speed import objects_per_endpoint
 from repro.core.config import OptimizationConfig
 from repro.host.configs import linux_up_config
 from repro.workloads.many import (
@@ -106,6 +105,21 @@ def test_sanitized_many_conn_run():
     assert r.allocations_saved > 0
 
 
+def objects_per_endpoint(rig, objects_before: int) -> float:
+    """GC-tracked objects a many-connection ``rig`` holds per connection
+    endpoint.
+
+    ``objects_before`` is ``len(gc.get_objects())`` after a full collection,
+    taken before the rig was built; the count after another full collection
+    minus it is divided by the connection endpoints (both ends) alive now.
+    It is what the cyclic collector's full passes scan per endpoint.
+    """
+    _sim, machine, clients, _driver = rig
+    gc.collect()
+    endpoints = len(machine.kernel.connections) + sum(len(c.connections) for c in clients)
+    return (len(gc.get_objects()) - objects_before) / endpoints
+
+
 #: GC-tracked objects per connection endpoint on the 1k rig at 30 ms,
 #: measured: 30.5 on CPython 3.9 and 3.10, 29.3 on 3.11, 3.12 and 3.13
 #: (before 3.11 every instance that is not slotted has a dict of its own).
@@ -117,15 +131,25 @@ OBJECTS_PER_ENDPOINT_BOUND = 35.0
 def test_connection_state_footprint():
     """Per-connection state stays small at scale: the cyclic collector's
     full passes scan every tracked object, so each one an endpoint holds
-    costs wall time on the 10k point."""
+    costs wall time on the 10k point.
+
+    The seeded 1k run is also the scale regime's event-count pin: its
+    events, completed transactions and slab savings are exact on CPython
+    3.10-3.12, with or without the sanitizer (which schedules nothing).
+    """
     gc.collect()
     objects_before = len(gc.get_objects())
-    _result, rig = run_many_connection_rig(
+    result, rig = run_many_connection_rig(
         linux_up_config(), OptimizationConfig.optimized(),
         ManyConnWorkload(n_connections=1000, arrival_rate_hz=2000.0),
         duration=0.01, warmup=0.02,
     )
     per_endpoint = objects_per_endpoint(rig, objects_before)
+    counts = (result.events_fired, result.transactions, result.allocations_saved)
+    assert counts == (14484, 492, 16454), (
+        f"the seeded 1k run moved to (events, transactions, slab saves) = {counts} "
+        "(re-pin only if that was the point)"
+    )
     _sim, machine, clients, driver = rig
     server = list(machine.kernel.connections.values())
     client = list(clients[0].connections.values())

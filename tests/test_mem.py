@@ -464,5 +464,7 @@ class TestSweepDeterminism:
         large = _measure_point(("up", 16 << 20, 1, False, 0.02, 0.02))
         assert small["copy cyc/B"] < small["zcrx cyc/B"]
         assert large["copy cyc/B"] > large["zcrx cyc/B"]
-        assert large["zcrx cyc/B"] == pytest.approx(small["zcrx cyc/B"], rel=0.05)
+        # Page remapping never touches the payload: the working set cannot
+        # change zcrx's charge by a single cycle.
+        assert large["zcrx cyc/B"] == small["zcrx cyc/B"]
         assert large["zcrx Mb/s"] > large["copy Mb/s"]

@@ -1,4 +1,4 @@
-"""Cycle ledger (`repro.obs.ledger`), diff, flame, and the observatory.
+"""Cycle ledger (`repro.obs.ledger`), diff and flame.
 
 Four claims are under test (DESIGN.md §11):
 
@@ -7,7 +7,7 @@ Four claims are under test (DESIGN.md §11):
    shadows are bit-equal to ``busy_cycles`` and the profiler, and the
    exact integer cells sum to the recorded totals.  The sanitizer audits
    this during the run and a tampered cell trips it.
-2. **Behaviour neutrality** — figure rows and BENCH-style measured fields
+2. **Behaviour neutrality** — figure rows and streaming measured fields
    are bit-identical with the ledger on or off; the ledger schedules
    nothing, so even ``events_fired`` survives.
 3. **Exact differential profiling** — ``diff(A, A)`` is empty, marginal
@@ -417,47 +417,3 @@ class TestQuantiles:
         text = o.sampler.render_dashboard(latency=o.tracer.latency_quantiles())
         assert "stage sojourn latency (ns)" in text
         assert "p99" in text
-
-
-# ----------------------------------------------------------------------
-# perf-regression observatory (BENCH history)
-# ----------------------------------------------------------------------
-class TestSpeedObservatory:
-    _POINT = {
-        "system": "Linux UP", "optimized": True, "wall_s": 1.0,
-        "events_fired": 1000, "events_per_sec": 1000.0,
-        "network_packets": 10, "throughput_mbps": 1.0,
-    }
-
-    def test_compare_points_reports_deltas_and_semantic_changes(self):
-        from repro.analysis.speed import compare_points, format_compare
-
-        base = [dict(self._POINT)]
-        cur = [
-            dict(self._POINT, events_per_sec=900.0, events_fired=1001),
-            dict(self._POINT, system="Xen", optimized=False),
-        ]
-        rows = compare_points(base, cur)
-        assert rows[0]["delta_pct"] == pytest.approx(-10.0)
-        assert rows[0]["events_fired_changed"] is True
-        assert rows[1]["delta_pct"] is None  # new point
-        text = format_compare(rows, "deadbeef1234")
-        assert "events_fired CHANGED" in text
-        assert "new point" in text
-
-    def test_append_history_records_sha_and_points(self, tmp_path):
-        from repro.analysis.speed import append_history
-
-        report = {
-            "probe": "figure7", "quick": True, "wall_s": 1.0,
-            "events_fired": 1000, "events_per_sec": 1000.0,
-            "packets_per_sec": 10.0, "points": [dict(self._POINT)],
-        }
-        path = tmp_path / "BENCH_history.json"
-        entry = append_history(report, path)
-        append_history(report, path)
-        history = json.loads(path.read_text())
-        assert len(history) == 2
-        assert history[0]["sha"] == entry["sha"]
-        assert len(entry["sha"]) >= 7  # a real git SHA in this repo
-        assert history[1]["points"][0]["system"] == "Linux UP"

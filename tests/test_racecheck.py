@@ -5,8 +5,8 @@ Three layers of coverage:
 * engine: the after-event hook chain the checker shares with the sanitizer;
 * unit: reconciliation semantics (charged / handed-off / uncovered) driven
   through a bare RaceChecker with synthetic accesses;
-* integration: clean multi-queue runs are bit-identical with checking on,
-  the checker actually observes cross-CPU traffic under RSS, and a
+* integration: race-checked runs of the mq4 and UP wire points match their
+  pins, the checker actually observes cross-CPU traffic under RSS, and a
   deliberately uncharged cross-queue access (zeroed CrossCpuCostModel)
   raises a RaceReport carrying both sim-time stacks.
 """
@@ -19,7 +19,7 @@ from repro.analysis import racecheck
 from repro.analysis.racecheck import RaceChecker, RaceReport
 from repro.core.config import OptimizationConfig
 from repro.host.client import ClientHost
-from repro.host.configs import linux_smp_config, linux_up_config
+from repro.host.configs import linux_smp_config
 from repro.host.machine import ReceiverMachine
 from repro.mq.costs import CrossCpuCostModel
 from repro.net.addresses import ip_from_str
@@ -29,6 +29,7 @@ from repro.tcp.source import InfiniteSource
 from repro.workloads.stream import run_stream_experiment
 
 from tests.conftest import fast_config
+from tests.test_wire_digest import assert_matches_pin, run_point
 
 SERVER = ip_from_str("10.0.0.1")
 
@@ -300,26 +301,28 @@ class TestCleanRuns:
         assert s.events_checked > 0
         assert dict(row[1]).get("xcpu", 0.0) > 0.0
 
-    def test_mq_row_bit_identical_with_racecheck(self):
-        off = _run_mq()
+    # The checker consumes no cycles and schedules nothing, so a checked
+    # run of a wire point must match its pin.  Each frame's time follows
+    # from the cycle charges before it, so a charge the checker added would
+    # move the digest; an event it scheduled would move ``events_fired``.
+    def _checked_wire_point(self, label):
         handle = racecheck.install()
-        on = _run_mq()
-        racecheck.uninstall(handle)
-        assert off == on
+        try:
+            got = run_point(label)
+            stats = [c.stats for c in handle.checkers if c.stats.accesses_noted]
+        finally:
+            racecheck.uninstall(handle)
+        assert_matches_pin(label, got)
+        return stats
 
-    def test_classic_stream_row_bit_identical_with_racecheck(self):
-        def run():
-            r = run_stream_experiment(
-                linux_up_config(), OptimizationConfig.optimized(),
-                duration=0.02, warmup=0.01,
-            )
-            return (r.throughput_mbps, sorted(r.breakdown.items()), r.events_fired)
+    def test_mq4_wire_point_matches_pin_with_racecheck(self):
+        stats = self._checked_wire_point("smp/mq4-rss-mem/opt")
+        assert len(stats) == 1
+        assert stats[0].foreign_accesses > 0
+        assert stats[0].violations == 0
 
-        off = run()
-        handle = racecheck.install()
-        on = run()
-        racecheck.uninstall(handle)
-        assert off == on
+    def test_up_wire_point_matches_pin_with_racecheck(self):
+        self._checked_wire_point("up/opt")
 
     def test_coexists_with_sanitizer(self):
         from repro.analysis import sanitizer

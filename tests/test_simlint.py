@@ -540,19 +540,19 @@ class TestCli:
     def test_bad_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nt = time.time()\n")
-        assert simlint_main(["--no-cache", str(tmp_path)]) == 1
+        assert simlint_main([str(tmp_path)]) == 1
         assert "[wall-clock]" in capsys.readouterr().out
 
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "good.py"
         good.write_text("def f(sim):\n    return sim.now\n")
-        assert simlint_main(["--no-cache", str(tmp_path)]) == 0
+        assert simlint_main([str(tmp_path)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_json_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\n")
-        assert simlint_main(["--no-cache", "--format", "json", str(bad)]) == 1
+        assert simlint_main(["--format", "json", str(bad)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 1
         assert payload["violations"][0]["rule"] == "unseeded-random"
@@ -560,11 +560,8 @@ class TestCli:
     def test_select_subset(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nimport random\nt = time.time()\n")
-        assert simlint_main(["--no-cache", "--select", "unseeded-random", str(bad)]) == 1
-        assert (
-            simlint_main(["--no-cache", "--select", "import-time-schedule", str(bad)])
-            == 0
-        )
+        assert simlint_main(["--select", "unseeded-random", str(bad)]) == 1
+        assert simlint_main(["--select", "import-time-schedule", str(bad)]) == 0
 
     def test_unknown_rule_usage_error(self, tmp_path):
         assert simlint_main(["--select", "no-such-rule", str(tmp_path)]) == 2
@@ -573,7 +570,7 @@ class TestCli:
         assert simlint_main([]) == 2
 
     def test_repo_source_tree_is_clean(self):
-        assert simlint_main(["--no-cache", "src/"]) == 0
+        assert simlint_main(["src/"]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -648,77 +645,6 @@ class TestUnusedAllow:
         stale = [v for v in violations if v.rule == "unused-allow"]
         assert len(stale) == 1
         assert "float-eq" in stale[0].message
-
-
-# ----------------------------------------------------------------------
-# content-hash result cache
-# ----------------------------------------------------------------------
-class TestLintCache:
-    def _write_tree(self, tmp_path):
-        (tmp_path / "bad.py").write_text(
-            "import time\n"
-            "def f():\n"
-            "    return time.time()  # simlint: allow(float-eq)\n"
-        )
-        (tmp_path / "good.py").write_text("def f(sim):\n    return sim.now\n")
-
-    def test_second_run_hits_and_matches(self, tmp_path):
-        from repro.analysis.simlint.cache import LintCache
-        from repro.analysis.simlint.runner import lint_paths
-
-        self._write_tree(tmp_path)
-        cache_path = str(tmp_path / "cache.json")
-        first = lint_paths([str(tmp_path)], cache=LintCache(cache_path))
-        warm = LintCache(cache_path)
-        second = lint_paths([str(tmp_path)], cache=warm)
-        assert [v.to_dict() for v in first] == [v.to_dict() for v in second]
-        assert warm.hits >= 2  # both files served from cache
-        # The stale float-eq allow is still judged from cached use-marks.
-        assert any(v.rule == "unused-allow" for v in second)
-        assert any(v.rule == "wall-clock" for v in second)
-
-    def test_source_change_invalidates(self, tmp_path):
-        from repro.analysis.simlint.cache import LintCache
-        from repro.analysis.simlint.runner import lint_paths
-
-        self._write_tree(tmp_path)
-        cache_path = str(tmp_path / "cache.json")
-        lint_paths([str(tmp_path)], cache=LintCache(cache_path))
-        (tmp_path / "good.py").write_text("import random\n")
-        warm = LintCache(cache_path)
-        second = lint_paths([str(tmp_path)], cache=warm)
-        assert warm.misses >= 1
-        assert any(v.rule == "unseeded-random" for v in second)
-
-    def test_whole_program_pass_is_cached(self, tmp_path):
-        from repro.analysis.simlint.cache import LintCache
-        from repro.analysis.simlint.runner import default_rules, lint_paths
-
-        (tmp_path / "fix.py").write_text(
-            "class D:\n"
-            "    def kick(self):\n"
-            "        self.cpu.submit(self._isr)\n"
-            "    def _isr(self):\n"
-            "        self.stats.runs = 1\n"
-        )
-        cache_path = str(tmp_path / "cache.json")
-        rules = default_rules(whole_program=True)
-        first = lint_paths([str(tmp_path)], rules=rules, cache=LintCache(cache_path))
-        warm = LintCache(cache_path)
-        second = lint_paths([str(tmp_path)], rules=rules, cache=warm)
-        assert [v.to_dict() for v in first] == [v.to_dict() for v in second]
-        assert any(v.rule == "uncharged-cycles" for v in second)
-        assert warm.hits >= 2  # module entry + program entry
-
-    def test_cli_cache_roundtrip(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\n")
-        cache_path = str(tmp_path / "cache.json")
-        argv = ["--cache-path", cache_path, str(bad)]
-        assert simlint_main(argv) == 1
-        assert simlint_main(argv) == 1  # served from cache, same verdict
-        bad.write_text("def f(sim):\n    return sim.now\n")
-        assert simlint_main(argv) == 0
 
 
 def test_every_rule_has_a_firing_test():

@@ -394,6 +394,4 @@ class TestWholeProgramOnRepo:
         assert violations == [], [v.format() for v in violations]
 
     def test_cli_whole_program_exit_zero(self):
-        assert (
-            simlint_main(["--no-cache", "--whole-program", "src/repro"]) == 0
-        )
+        assert simlint_main(["--whole-program", "src/repro"]) == 0
