@@ -146,48 +146,54 @@ class SimSanitizer:
     # connection invariants
     # ------------------------------------------------------------------
     def _check_connection(self, conn) -> None:
+        # Runs for every connection after every event, so the sequence
+        # comparisons are inlined (``(b - a) & _SEQ_MASK < _SEQ_HALF`` is
+        # ``_seq_le(a, b)``), an unchanged snapshot is kept as it is, and
+        # the connection's name is read only to report a violation.
         self.stats.connection_checks += 1
-        name = getattr(conn, "name", repr(conn))
+        snd_una = conn.snd_una
+        rcv_nxt = conn.rcv_nxt
+        snaps = self._conn_snaps
+        snap = snaps.get(conn)
+        if snap is None or snap[0] != snd_una or snap[1] != rcv_nxt:
+            if snap is not None:
+                prev_una, prev_nxt = snap
+                if ((snd_una - prev_una) & _SEQ_MASK) >= _SEQ_HALF:
+                    raise InvariantViolation(
+                        f"{conn.name}: snd_una regressed {prev_una} -> {snd_una} "
+                        "(cumulative ACK must be monotonic)"
+                    )
+                if ((rcv_nxt - prev_nxt) & _SEQ_MASK) >= _SEQ_HALF:
+                    raise InvariantViolation(
+                        f"{conn.name}: rcv_nxt regressed {prev_nxt} -> {rcv_nxt}"
+                    )
+            snaps[conn] = (snd_una, rcv_nxt)
 
-        snap = self._conn_snaps.get(conn)
-        if snap is not None:
-            prev_una, prev_nxt = snap
-            if not _seq_le(prev_una, conn.snd_una):
-                raise InvariantViolation(
-                    f"{name}: snd_una regressed {prev_una} -> {conn.snd_una} "
-                    "(cumulative ACK must be monotonic)"
-                )
-            if not _seq_le(prev_nxt, conn.rcv_nxt):
-                raise InvariantViolation(
-                    f"{name}: rcv_nxt regressed {prev_nxt} -> {conn.rcv_nxt}"
-                )
-        self._conn_snaps[conn] = (conn.snd_una, conn.rcv_nxt)
-
-        if not _seq_le(conn.snd_una, conn.snd_nxt):
+        if ((conn.snd_nxt - snd_una) & _SEQ_MASK) >= _SEQ_HALF:
             raise InvariantViolation(
-                f"{name}: snd_una={conn.snd_una} ahead of snd_nxt={conn.snd_nxt}"
+                f"{conn.name}: snd_una={snd_una} ahead of snd_nxt={conn.snd_nxt}"
             )
 
         reno = conn.reno
         mss = reno.mss
         if reno.cwnd < mss:
             raise InvariantViolation(
-                f"{name}: cwnd={reno.cwnd} below one MSS ({mss})"
+                f"{conn.name}: cwnd={reno.cwnd} below one MSS ({mss})"
             )
         if reno.ssthresh < 2 * mss:
             raise InvariantViolation(
-                f"{name}: ssthresh={reno.ssthresh} below RFC 5681 floor of "
+                f"{conn.name}: ssthresh={reno.ssthresh} below RFC 5681 floor of "
                 f"2*MSS ({2 * mss})"
             )
 
         # Byte-stream equivalence: everything between irs+1 and rcv_nxt was
         # delivered to the application, except possibly one FIN octet.
         if conn.state not in _PRE_SYNC_STATES:
-            span = _seq_diff(conn.rcv_nxt, conn.irs) - 1
+            span = ((rcv_nxt - conn.irs) & _SEQ_MASK) - 1
             slack = span - conn.stats.bytes_delivered
             if slack not in (0, 1):
                 raise InvariantViolation(
-                    f"{name}: receive stream accounting broken — rcv_nxt "
+                    f"{conn.name}: receive stream accounting broken — rcv_nxt "
                     f"advanced {span} bytes past irs but "
                     f"{conn.stats.bytes_delivered} bytes were delivered "
                     f"(slack={slack}, expected 0 or 1 for a consumed FIN)"

@@ -57,7 +57,8 @@ import inspect
 import json
 import os
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from repro.analysis.export import breakdown_to_json, result_to_csv, results_to_csv_files
 from repro.analysis.validation import validate
@@ -95,9 +96,12 @@ def _obs_jobs_error(args) -> Optional[str]:
     )
 
 
-def _obs_setup(args) -> None:
-    """Turn CLI observability flags into the process-global obs config."""
+@contextmanager
+def _observed(args) -> Iterator[None]:
+    """Turn CLI observability flags into the process-global obs config for
+    the duration of one command, and back to all-off however it ends."""
     if not _obs_flags_given(args):
+        yield
         return
     from repro import obs
 
@@ -107,6 +111,10 @@ def _obs_setup(args) -> None:
         sample_interval=args.sample_interval,
         ledger=bool(getattr(args, "ledger_out", None) or getattr(args, "flame_out", None)),
     )
+    try:
+        yield
+    finally:
+        obs.reset()
 
 
 def _obs_export(args) -> None:
@@ -150,7 +158,6 @@ def _obs_export(args) -> None:
                     o.tracer.latency_quantiles() if o.tracer is not None else None
                 )
                 print(o.sampler.render_dashboard(latency=latency))
-    obs.reset()
 
 
 def _cmd_list(_args) -> int:
@@ -191,37 +198,37 @@ def _impairments_from_args(args):
 
 
 def _cmd_run(args) -> int:
-    _obs_setup(args)
-    try:
-        result = run_experiment(
-            args.experiment, quick=args.quick, jobs=args.jobs, queues=args.queues,
-            impairments=_impairments_from_args(args),
-            numa_nodes=args.numa_nodes,
-            zero_copy=True if args.zero_copy else None,
-            ledger=bool(args.ledger_out or args.flame_out),
-        )
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    _print_result(result, args.csv)
-    if args.profile_out:
-        with open(args.profile_out, "w") as fh:
-            json.dump(breakdown_to_json(result), fh, indent=1)
-        print(f"wrote {args.profile_out}")
-    _obs_export(args)
+    with _observed(args):
+        try:
+            result = run_experiment(
+                args.experiment, quick=args.quick, jobs=args.jobs, queues=args.queues,
+                impairments=_impairments_from_args(args),
+                numa_nodes=args.numa_nodes,
+                zero_copy=True if args.zero_copy else None,
+                ledger=bool(args.ledger_out or args.flame_out),
+            )
+        except (KeyError, ValueError) as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        _print_result(result, args.csv)
+        if args.profile_out:
+            with open(args.profile_out, "w") as fh:
+                json.dump(breakdown_to_json(result), fh, indent=1)
+            print(f"wrote {args.profile_out}")
+        _obs_export(args)
     return 0
 
 
 def _cmd_all(args) -> int:
-    _obs_setup(args)
-    results = run_all(quick=args.quick, jobs=args.jobs)
-    for result in results:
-        _print_result(result)
-        print()
-    if args.csv_dir:
-        paths = results_to_csv_files(results, args.csv_dir)
-        print(f"wrote {len(paths)} CSV files to {args.csv_dir}")
-    _obs_export(args)
+    with _observed(args):
+        results = run_all(quick=args.quick, jobs=args.jobs)
+        for result in results:
+            _print_result(result)
+            print()
+        if args.csv_dir:
+            paths = results_to_csv_files(results, args.csv_dir)
+            print(f"wrote {len(paths)} CSV files to {args.csv_dir}")
+        _obs_export(args)
     return 0
 
 

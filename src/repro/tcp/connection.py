@@ -36,9 +36,8 @@ baseline transport simply emits one pure-ACK packet per entry.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.flow import FlowKey
 from repro.net.ip import IPv4Header
@@ -210,7 +209,9 @@ class TcpConnection:
         self.peer_sack_ok = False
         self.reno = RenoState(mss=config.mss, initial_cwnd_segments=config.initial_cwnd_segments)
         self.rtt = RttEstimator()
-        self.rtx_queue: Deque[_RtxRecord] = deque()
+        # Oldest first; an ACK trims an acked prefix.  A list, not a deque:
+        # an empty deque is 760 bytes, and every endpoint holds a queue.
+        self.rtx_queue: List[_RtxRecord] = []
         self.source = None  # ByteSource | InfiniteSource | None
         self._send_base_seq = 0  # stream offset 0 <-> this sequence number
         self._fin_pending = False
@@ -232,7 +233,9 @@ class TcpConnection:
         # ---- receive side ----
         self.irs = 0
         self.rcv_nxt = 0
-        self._ooo: List[Tuple[int, int, Optional[bytes]]] = []  # (seq, len, payload)
+        # (seq, len, payload) per queued out-of-order segment; None until
+        # the first one arrives, which most connections never see.
+        self._ooo: Optional[List[Tuple[int, int, Optional[bytes]]]] = None
         self._segs_since_ack = 0
         self._delack_timer = None
         self.ts_recent = 0
@@ -581,12 +584,14 @@ class TcpConnection:
 
     def _drop_acked_rtx(self, ack: int) -> None:
         rtx = self.rtx_queue
-        while rtx:
-            d = (rtx[0].end_seq - ack) & _SEQ_MASK  # seq_le inlined
-            if d == 0 or d >= _SEQ_HALF:
-                rtx.popleft()
-            else:
+        n = 0
+        for rec in rtx:
+            d = (rec.end_seq - ack) & _SEQ_MASK  # seq_le inlined
+            if d and d < _SEQ_HALF:
                 break
+            n += 1
+        if n:
+            del rtx[:n]
 
     def _maybe_send(self) -> None:
         """Transmit as much new data as cwnd/rwnd/source allow."""
@@ -866,7 +871,8 @@ class TcpConnection:
             self._deliver(payload, length)
 
         # Merge any now-contiguous out-of-order data.
-        drained = self._ooo_drain() if self._ooo else False
+        ooo = self._ooo
+        drained = self._ooo_drain(ooo) if ooo else False
 
         if fin and not self._fin_rcvd:
             self._fin_rcvd = True
@@ -910,21 +916,25 @@ class TcpConnection:
 
     # ---- out-of-order queue ----
     def _ooo_insert(self, seq: int, length: int, payload: Optional[bytes]) -> None:
-        for existing_seq, existing_len, _ in self._ooo:
+        ooo = self._ooo
+        if ooo is None:
+            ooo = self._ooo = []
+        for existing_seq, existing_len, _ in ooo:
             if existing_seq == seq and existing_len >= length:
                 return  # duplicate of queued segment
-        self._ooo.append((seq, length, payload))
-        self._ooo.sort(key=lambda item: seq_diff(item[0], self.rcv_nxt))
+        ooo.append((seq, length, payload))
+        ooo.sort(key=lambda item: seq_diff(item[0], self.rcv_nxt))
 
-    def _ooo_drain(self) -> bool:
-        """Deliver any queued segments now contiguous with rcv_nxt."""
+    def _ooo_drain(self, ooo: List[Tuple[int, int, Optional[bytes]]]) -> bool:
+        """Deliver any segments queued in ``ooo`` (the connection's
+        ``_ooo``) that are now contiguous with rcv_nxt."""
         drained = False
         progress = True
         while progress:
             progress = False
-            for i, (seq, length, payload) in enumerate(self._ooo):
+            for i, (seq, length, payload) in enumerate(ooo):
                 if seq == self.rcv_nxt:
-                    self._ooo.pop(i)
+                    ooo.pop(i)
                     self.rcv_nxt = seq_add(self.rcv_nxt, length)
                     self._deliver(payload, length)
                     drained = True
@@ -934,11 +944,11 @@ class TcpConnection:
                     # Became stale (covered by delivered data).
                     end = seq_add(seq, length)
                     if seq_le(end, self.rcv_nxt):
-                        self._ooo.pop(i)
+                        ooo.pop(i)
                     else:
                         keep = seq_diff(end, self.rcv_nxt)
                         body = payload[length - keep :] if payload is not None else None
-                        self._ooo[i] = (self.rcv_nxt, keep, body)
+                        ooo[i] = (self.rcv_nxt, keep, body)
                     progress = True
                     break
         return drained

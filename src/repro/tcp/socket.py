@@ -24,7 +24,8 @@ class TcpSocket:
     def __init__(self, conn: TcpConnection):
         self.conn = conn
         conn.app = self
-        self.received: List[Tuple[Optional[bytes], int]] = []
+        #: (payload, length) per delivery; None until the first one.
+        self.received: Optional[List[Tuple[Optional[bytes], int]]] = None
         self.bytes_received = 0
         self.established = False
         self.remote_closed = False
@@ -50,7 +51,11 @@ class TcpSocket:
             self.on_established_cb(self)
 
     def on_data(self, conn: TcpConnection, payload: Optional[bytes], length: int) -> None:
-        self.received.append((payload, length))
+        received = self.received
+        if received is None:
+            self.received = [(payload, length)]
+        else:
+            received.append((payload, length))
         self.bytes_received += length
         conn.mark_read(length)  # the app consumes immediately (netperf-style)
         if self.on_data_cb is not None:
@@ -65,7 +70,7 @@ class TcpSocket:
     def payload_bytes(self) -> bytes:
         """Concatenate all received payload (requires materialized payloads)."""
         parts = []
-        for payload, length in self.received:
+        for payload, _length in self.received or ():
             if payload is None:
                 raise ValueError("socket received length-only data")
             parts.append(payload)

@@ -100,24 +100,27 @@ class _MiceApp:
     """Client side of one short-RPC connection.
 
     ``transactions_limit`` is None for resident mice (loop forever) or a
-    count for churned connections, which close afterwards.
+    count for churned connections, which close afterwards.  The mouse's
+    think-time stream, ``many/mouse{index}``, is derived on its first draw:
+    most mice of a short run never finish a transaction, and a seeded
+    generator is about 2.5 KB.  Deriving consumes nothing from the root
+    stream, so every draw is the same whenever it is made.
     """
 
     __slots__ = (
-        "sim", "sock", "wl", "rng", "transactions", "transactions_limit",
-        "_received", "on_done",
+        "driver", "sock", "index", "rng", "transactions", "transactions_limit",
+        "_received",
     )
 
-    def __init__(self, sim, sock, wl: ManyConnWorkload, rng: SeededRng,
-                 transactions_limit: Optional[int] = None, on_done=None):
-        self.sim = sim
+    def __init__(self, driver: "ManyConnectionDriver", sock, index: int,
+                 transactions_limit: Optional[int] = None):
+        self.driver = driver
         self.sock = sock
-        self.wl = wl
-        self.rng = rng
+        self.index = index
+        self.rng: Optional[SeededRng] = None
         self.transactions = 0
         self.transactions_limit = transactions_limit
         self._received = 0
-        self.on_done = on_done
         sock.on_established_cb = self._on_established
         sock.on_data_cb = self._on_response
 
@@ -125,22 +128,25 @@ class _MiceApp:
         self._send_request()
 
     def _send_request(self) -> None:
-        self.sock.send(b"q" * self.wl.rpc_request_bytes)
+        self.sock.send(b"q" * self.driver.wl.rpc_request_bytes)
 
     def _on_response(self, sock, payload, length) -> None:
+        driver = self.driver
         self._received += length
-        if self._received < self.wl.rpc_response_bytes:
+        if self._received < driver.wl.rpc_response_bytes:
             return
         self._received = 0
         self.transactions += 1
         limit = self.transactions_limit
         if limit is not None and self.transactions >= limit:
             self.sock.close()
-            if self.on_done is not None:
-                self.on_done(self)
+            driver._on_closed(self)
             return
-        think = self.rng.expovariate(1.0 / self.wl.rpc_think_mean_s)
-        self.sim.post(think, self._send_request)
+        rng = self.rng
+        if rng is None:
+            rng = self.rng = driver.rng.derive(f"mouse{self.index}")
+        think = rng.expovariate(1.0 / driver.wl.rpc_think_mean_s)
+        driver.sim.post(think, self._send_request)
 
 
 class ManyConnectionDriver:
@@ -191,11 +197,7 @@ class ManyConnectionDriver:
     def _open_mouse(self, index: int, limit: Optional[int] = None) -> None:
         client = self._pick_client()
         sock = client.connect(self.machine.ip, RPC_PORT, config=self._tcp_config)
-        app = _MiceApp(
-            self.sim, sock, self.wl, self.rng.derive(f"mouse{index}"),
-            transactions_limit=limit, on_done=self._on_closed,
-        )
-        self.mice.append(app)
+        self.mice.append(_MiceApp(self, sock, index, transactions_limit=limit))
         self.connections_opened += 1
 
     def _on_closed(self, app: _MiceApp) -> None:

@@ -160,6 +160,22 @@ def test_cli_obs_output_without_worker_runs_is_accepted(argv, tmp_path, monkeypa
     assert (tmp_path / argv[-1]).exists()
 
 
+def test_cli_rejected_run_turns_observation_back_off(tmp_path, capsys, monkeypatch):
+    """A request the experiment rejects exits 2 and leaves the process-wide
+    obs config all-off, so later runs in the same process (a test suite,
+    a notebook) are not observed."""
+    from repro import obs
+
+    monkeypatch.chdir(tmp_path)
+    try:
+        assert main(["run", "table1", "--quick", "--ledger-out", "L.json"]) == 2
+        assert "--ledger-out" in capsys.readouterr().err
+        assert obs.config() == obs.ObsConfig()
+    finally:
+        obs.reset()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_breakdown_to_json_transposes_categories():
     from repro.analysis.export import breakdown_to_json
 

@@ -1,13 +1,17 @@
 """Tests for the many-connection workload generator (scale regime)."""
 
 import gc
+import tracemalloc
+from collections import deque
 
 import pytest
 
 from repro.core.config import OptimizationConfig
 from repro.host.configs import linux_up_config
+from repro.sim.rng import SeededRng
 from repro.workloads.many import (
     ManyConnWorkload,
+    _MiceApp,
     build_many_connection_rig,
     run_many_connection_experiment,
     run_many_connection_rig,
@@ -105,6 +109,14 @@ def test_sanitized_many_conn_run():
     assert r.allocations_saved > 0
 
 
+def _connections(rig) -> list:
+    """Every connection endpoint of a many-connection ``rig``, both ends."""
+    _sim, machine, clients, _driver = rig
+    return list(machine.kernel.connections.values()) + [
+        conn for client in clients for conn in client.connections.values()
+    ]
+
+
 def objects_per_endpoint(rig, objects_before: int) -> float:
     """GC-tracked objects a many-connection ``rig`` holds per connection
     endpoint.
@@ -114,18 +126,19 @@ def objects_per_endpoint(rig, objects_before: int) -> float:
     minus it is divided by the connection endpoints (both ends) alive now.
     It is what the cyclic collector's full passes scan per endpoint.
     """
-    _sim, machine, clients, _driver = rig
     gc.collect()
-    endpoints = len(machine.kernel.connections) + sum(len(c.connections) for c in clients)
-    return (len(gc.get_objects()) - objects_before) / endpoints
+    return (len(gc.get_objects()) - objects_before) / len(_connections(rig))
 
 
 #: GC-tracked objects per connection endpoint on the 1k rig at 30 ms,
-#: measured: 30.5 on CPython 3.9 and 3.10, 29.3 on 3.11, 3.12 and 3.13
+#: measured: 28.8 on CPython 3.9 and 3.10, 27.6 on 3.11, 3.12 and 3.13
 #: (before 3.11 every instance that is not slotted has a dict of its own).
-#: The bound is the highest plus about 15% headroom.  Before connection
-#: state was slotted and shared: 43.4 on 3.10, 40.2 on 3.11 and 3.12.
-OBJECTS_PER_ENDPOINT_BOUND = 35.0
+#: The bound is the highest plus about 15% headroom.  Before each mouse
+#: derived its generator on first use and endpoints dropped their deque
+#: and empty lists: 30.5 on 3.9 and 3.10, 29.3 on 3.11, 3.12 and 3.13.
+#: Before connection state was slotted and shared: 43.4 on 3.10, 40.2 on
+#: 3.11 and 3.12.
+OBJECTS_PER_ENDPOINT_BOUND = 33.0
 
 
 def test_connection_state_footprint():
@@ -164,3 +177,87 @@ def test_connection_state_footprint():
     for conn in server + client:
         assert conn._template._flow_key is conn.key
     assert per_endpoint < OBJECTS_PER_ENDPOINT_BOUND
+
+
+#: The lean-endpoint rig: 1,000 connections opened within 2 ms swamp the
+#: UP receiver, so at 3 ms most mice still wait for their first response,
+#: as on the 10k point.  About 0.6 s under tracemalloc.
+LEAN = dict(n_connections=1000, stagger_s=0.002)
+LEAN_END_S = 0.003
+
+#: tracemalloc bytes per connection endpoint on the lean rig, from before
+#: it is built to the end of its run, measured: 4,234 on CPython 3.9,
+#: 4,396 on 3.10, 4,077 on 3.11, 4,048 on 3.12, 3,753 on 3.13.  When every
+#: mouse seeded its generator at open and every endpoint held a deque:
+#: 6,304, 6,466, 6,408, 6,371 and 6,079.
+BYTES_PER_ENDPOINT_BOUND = 5000
+
+
+@pytest.fixture(scope="module")
+def lean_rig():
+    """The lean rig, run under tracemalloc: ``(rig, bytes per endpoint)``."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rig = build_many_connection_rig(
+            linux_up_config(), OptimizationConfig.optimized(), ManyConnWorkload(**LEAN)
+        )
+        sim, _machine, _clients, driver = rig
+        driver.start()
+        sim.run(until=LEAN_END_S)
+        gc.collect()
+        grew = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return rig, grew / len(_connections(rig))
+
+
+def test_mice_derive_their_generator_on_first_draw(lean_rig):
+    rig, _ = lean_rig
+    mice = rig[3].mice
+    idle = [app for app in mice if app.transactions == 0]
+    assert len(idle) > len(mice) // 2
+    assert all(app.rng is None for app in idle)
+    assert all(app.rng is not None for app in mice if app.transactions)
+
+
+def test_no_endpoint_holds_a_deque(lean_rig):
+    rig, _ = lean_rig
+    conns = _connections(rig)
+    for obj in conns + [conn.app for conn in conns] + rig[3].mice:
+        slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+        assert slots, type(obj).__name__
+        for name in slots:
+            assert not isinstance(getattr(obj, name, None), deque), f"{type(obj).__name__}.{name}"
+
+
+def test_endpoint_bytes_stay_lean(lean_rig):
+    _, per_endpoint = lean_rig
+    assert per_endpoint < BYTES_PER_ENDPOINT_BOUND
+
+
+def test_first_think_time_is_the_first_draw_of_the_mouse_stream():
+    """Deriving a mouse's stream late changes none of its draws."""
+    wl = ManyConnWorkload(**SMALL)
+    sim, _machine, _clients, driver = build_many_connection_rig(
+        linux_up_config(), OptimizationConfig.optimized(), wl
+    )
+    first_think = {}
+    post = sim.post
+
+    def recording_post(delay, fn, *args):
+        if getattr(fn, "__func__", None) is _MiceApp._send_request:
+            first_think.setdefault(fn.__self__.index, delay)
+        post(delay, fn, *args)
+
+    sim.post = recording_post
+    driver.start()
+    sim.run(until=0.04)
+    assert len(first_think) > 10
+    for index, think in first_think.items():
+        stream = SeededRng(wl.seed, "many").derive(f"mouse{index}")
+        assert think == stream.expovariate(1.0 / wl.rpc_think_mean_s)
