@@ -447,12 +447,14 @@ class SimSanitizer:
         exactly one):
 
         1. per-flow occupancy bound (``len(held) <= depth``);
-        2. held frames sorted by sequence number;
-        3. every held frame is *ahead of* the flow's release point
+        2. no held frame sits on the packet slab's freelist
+           (reuse-after-free, as for rings, LRO and aggregation queues);
+        3. held frames sorted by sequence number;
+        4. every held frame is *ahead of* the flow's release point
            (released sequence order stays monotone);
-        4. no flow is parked past its deadline (unless its release is
+        5. no flow is parked past its deadline (unless its release is
            already pending on the CPU);
-        5. global conservation ``frames_in == frames_out + occupancy``.
+        6. global conservation ``frames_in == frames_out + occupancy``.
         """
         from repro.tcp.seqmath import seq_gt, seq_lt
 
@@ -467,6 +469,8 @@ class SimSanitizer:
                     f"repair {repair.name}: flow {key} holds {len(held)} "
                     f"frames, over the configured depth {depth}"
                 )
+            for _, pkt in held:
+                self._check_not_slab_free(pkt, f"repair {repair.name}: flow {key} hold buffer")
             for i in range(1, len(held)):
                 if not seq_lt(held[i - 1][1].tcp.seq, held[i][1].tcp.seq):
                     raise InvariantViolation(

@@ -5,10 +5,14 @@ IPv4 and a TCP header object) per segment, use it for a few microseconds of
 simulated time, and drop it — at 10k connections that is hundreds of
 thousands of short-lived Python objects per simulated second, and allocator/
 GC pressure dominates the real hot loop.  The slab closes the loop: when the
-receive path frees an sk_buff (or a client host finishes with an ACK), the
-dead packet goes on a freelist, and
-:meth:`~repro.net.packet.PacketTemplate.make` re-stamps a freelisted packet
-instead of building a fresh one.
+receive path frees an sk_buff, hardware LRO merges a segment into a session
+head, or a client host finishes with an ACK, the dead packet goes on a
+freelist, and :meth:`~repro.net.packet.PacketTemplate.make` (a sender's
+segment) or :meth:`Packet.copy(slab) <repro.net.packet.Packet.copy>` (the
+ACK-offload driver's clone of a template ACK) re-stamps a freelisted packet
+instead of building a fresh one.  With both the senders' segments and the
+driver's ACK clones drawn from it, the freelist holds about what the rig
+has in flight rather than growing to its cap.
 
 One slab is shared per rig (server pool + every client + every connection
 template), so data segments freed by the server feed the senders' templates
@@ -22,8 +26,8 @@ Safety:
   packets may be retained by correctness checks and are left to the GC;
 * every freelisted packet is flagged ``_slab_free``; releasing one twice
   raises immediately, and the runtime sanitizer audits that no packet still
-  resident in a NIC ring, LRO table, or aggregation queue carries the flag
-  (reuse-after-free);
+  resident in a NIC ring, LRO table, aggregation queue or repair hold
+  buffer carries the flag (reuse-after-free);
 * the freelist is bounded (:attr:`capacity`) so a burst cannot pin
   unbounded garbage.
 """
@@ -87,8 +91,9 @@ class PacketSlab:
     def acquire(self) -> Optional[Packet]:
         """Pop a recycled packet (flag cleared) or None if the list is empty.
 
-        The caller (``PacketTemplate.make``) must re-initialize **every**
-        header field and Packet slot before the object escapes.
+        The caller (``PacketTemplate.make`` or ``Packet.copy``) must
+        re-initialize **every** header field and Packet slot before the
+        object escapes.
         """
         free = self.free
         if not free:

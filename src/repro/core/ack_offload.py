@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from repro.buffers.pool import BufferPool
 from repro.buffers.skbuff import SkBuff
+from repro.buffers.slab import PacketSlab
 from repro.net.packet import Packet
 from repro.tcp.connection import AckEvent, TcpConnection
 
@@ -50,19 +51,22 @@ def build_template_ack_skb(
     return skb
 
 
-def expand_template(skb: SkBuff) -> List[Packet]:
+def expand_template(skb: SkBuff, slab: Optional[PacketSlab] = None) -> List[Packet]:
     """Driver-side expansion: one real ACK packet per stored ACK number.
 
     Each packet is a copy of the template head with the ACK-number field
     rewritten and both checksums fixed incrementally.  The first entry
     reuses the template's own numbers (its checksum is already correct).
+    With ``slab`` each copy is a dead packet from its freelist re-stamped
+    in place (see :meth:`Packet.copy`); without one, as in an out-of-band
+    check, the freelist is left untouched.
     """
     if not skb.is_template_ack:
         raise ValueError("not a template-ACK skb")
     head = skb.head
     out: List[Packet] = []
     for ack in skb.template_acks:
-        pkt = head.copy()
+        pkt = head.copy(slab)
         pkt.rewrite_ack_incremental(ack)
         out.append(pkt)
     return out

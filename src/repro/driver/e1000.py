@@ -341,7 +341,9 @@ class E1000Driver:
             led.push_stage("driver.tx")
         consume(costs.driver_tx_per_packet, Category.DRIVER)
         self.stats.tx_templates += 1
-        packets = expand_template(skb)
+        # Clones come from the pool's packet slab: the clients release every
+        # ACK into it, so the ACK population stays bounded by what is in flight.
+        packets = expand_template(skb, self.pool.slab)
         tr = self._tr
         if tr is not None:
             tr.event(

@@ -310,6 +310,7 @@ class ReceiverMachine(ReceiverBase):
                 kernel = SoftirqPort(self.kernel, q, aggregator=aggregator)
             if queue.lro is not None:
                 queue.lro.governor = governor
+                queue.lro.slab = self.packet_slab
             repair = None
             if self.opt.repair is not None:
                 # The repair stage shares its path's governor, aggregation

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 
 def _ones_complement_sum(data: bytes) -> int:
-    """Fold ``data`` (16-bit big-endian words) into a 16-bit ones-complement sum."""
+    """Fold ``data`` (16-bit big-endian words) into a 16-bit ones-complement sum.
+
+    Read as one big-endian integer, ``data`` is its words weighted by powers
+    of 2**16, and 2**16 is 1 modulo 0xFFFF, so the word sum (and its
+    end-around-carry fold) is that integer modulo 0xFFFF.  The fold of a
+    nonzero sum is never 0, so a remainder of 0 stands for 0xFFFF unless
+    every word is zero.
+    """
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    # Sum 16-bit words; defer carry folding until the end.
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
+    n = int.from_bytes(data, "big")
+    total = n % 0xFFFF
+    if total == 0 and n != 0:
+        return 0xFFFF
     return total
 
 

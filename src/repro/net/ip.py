@@ -139,14 +139,6 @@ class IPv4Header:
             return True
         return self.checksum == self.compute_checksum()
 
-    def copy(self) -> "IPv4Header":
-        # Field-by-field reconstruction through the dataclass constructor is
-        # hot (TSO splits one copy per wire segment); a dict snapshot carries
-        # every field, including the deferred-checksum state, in one C call.
-        clone = IPv4Header.__new__(IPv4Header)
-        clone.__dict__.update(self.__dict__)
-        return clone
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"IPv4({ip_to_str(self.src_ip)} -> {ip_to_str(self.dst_ip)},"

@@ -281,18 +281,45 @@ class Packet:
         payload = bytes(data[payload_start:payload_end])
         return cls(ip=ip, tcp=tcp, payload=payload, eth=eth)
 
-    def copy(self) -> "Packet":
+    def copy(self, slab=None) -> "Packet":
         """An independent clone of this frame.
 
-        The clone owns its IP header, TCP header and options block, which
-        receive paths rewrite in place (ACK, window, ``options.timestamp``).
-        It shares the MAC header, which nothing mutates, and the cached
-        geometry and flow identity, which equal the original's.
+        The clone owns its IP header, TCP header, options block and SACK
+        list, which receive paths rewrite in place (ACK, window,
+        ``options.timestamp``).  It shares the MAC header, which nothing
+        mutates, and the cached geometry and flow identity, which equal
+        the original's.
+
+        With a :class:`~repro.buffers.slab.PacketSlab` the clone is a dead
+        packet from its freelist, re-stamped in place: its header objects,
+        options block and SACK list are cleared and refilled from this
+        frame, so a clone allocates nothing.  Without one, or when the
+        freelist is empty, those objects are built fresh.
         """
-        clone = Packet.__new__(Packet)
+        clone = slab.acquire() if slab is not None else None
+        if clone is None:
+            clone = Packet.__new__(Packet)
+            ip = clone.ip = IPv4Header.__new__(IPv4Header)
+            tcp = clone.tcp = TcpHeader.__new__(TcpHeader)
+            options = TcpOptions.__new__(TcpOptions)
+            sack_blocks = []
+        else:
+            ip = clone.ip
+            ip.__dict__.clear()
+            tcp = clone.tcp
+            options = tcp.options
+            sack_blocks = options.sack_blocks
+            tcp.__dict__.clear()
+            options.__dict__.clear()
+            sack_blocks.clear()
+        src_options = self.tcp.options
+        ip.__dict__.update(self.ip.__dict__)
+        tcp.__dict__.update(self.tcp.__dict__)
+        options.__dict__.update(src_options.__dict__)
+        sack_blocks.extend(src_options.sack_blocks)
+        options.sack_blocks = sack_blocks
+        tcp.options = options
         clone.eth = self.eth
-        clone.ip = self.ip.copy()
-        clone.tcp = self.tcp.copy()
         clone.payload = self.payload
         clone.payload_len = self.payload_len
         clone.csum_verified = self.csum_verified
@@ -398,8 +425,10 @@ class PacketTemplate:
     ) -> Packet:
         """Stamp one length-only packet of this flow.
 
-        ``options`` is its TCP options block.  Without one the packet gets
-        a timestamp-only block carrying ``timestamp`` (an empty block when
+        ``options`` is its TCP options block, which the packet then owns
+        (a recycled packet re-stamps the block it owns, so no two packets
+        may be given the same one).  Without one the packet gets a
+        timestamp-only block carrying ``timestamp`` (an empty block when
         that is None too): the layout of every ACK-clocked data segment
         and ACK, built here so those packets cost one call each.
         """
@@ -409,13 +438,15 @@ class PacketTemplate:
             ip = IPv4Header.__new__(IPv4Header)
             tcp = TcpHeader.__new__(TcpHeader)
             pkt = Packet.__new__(Packet)
+            block = None
         else:
-            # Recycled packet: reuse its header objects, re-initializing
-            # every field from the defaults (clear first — the previous
-            # life may have set fields the defaults lack).
+            # Recycled packet: reuse its header objects and options block,
+            # re-initializing every field from the defaults (clear first —
+            # the previous life may have set fields the defaults lack).
             ip = pkt.ip
             ip.__dict__.clear()
             tcp = pkt.tcp
+            block = tcp.options
             tcp.__dict__.clear()
         ip.__dict__.update(_IP_DEFAULTS)
         tcp.__dict__.update(_TCP_DEFAULTS)
@@ -426,12 +457,16 @@ class PacketTemplate:
         tcp.flags = flags
         tcp.window = window
         if options is None:
-            options = TcpOptions.__new__(TcpOptions)
+            if block is None:
+                options = TcpOptions.__new__(TcpOptions)
+                options.sack_blocks = []
+            else:
+                options = block
+                options.sack_blocks.clear()
             options.mss = None
             options.window_scale = None
             options.sack_permitted = False
             options.timestamp = timestamp
-            options.sack_blocks = []
             # encoded_len() of a timestamp-only block.
             options_len = 0 if timestamp is None else TCP_TIMESTAMP_OPTION_LEN
         else:

@@ -144,12 +144,6 @@ class TcpOptions:
             i += length
         return opts
 
-    def copy(self) -> "TcpOptions":
-        clone = TcpOptions.__new__(TcpOptions)
-        clone.__dict__.update(self.__dict__)
-        clone.sack_blocks = list(self.sack_blocks)
-        return clone
-
 
 @dataclass
 class TcpHeader:
@@ -217,12 +211,6 @@ class TcpHeader:
         finally:
             self.checksum = saved
         return internet_checksum(data)
-
-    def copy(self) -> "TcpHeader":
-        clone = TcpHeader.__new__(TcpHeader)
-        clone.__dict__.update(self.__dict__)
-        clone.options = self.options.copy()
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         names = "|".join(f.name for f in TcpFlags if f in self.flags) or "0"

@@ -32,6 +32,9 @@ from repro.obs.runtime import active_tracer
 from repro.obs.trace import Stage
 from repro.tcp.seqmath import seq_ge
 
+#: Raw flag bits a mergeable segment must not carry: anything but ACK|PSH.
+_NOT_ACK_PSH = ~int(TcpFlags.ACK | TcpFlags.PSH)
+
 
 class _LroSession:
     """One in-progress hardware merge."""
@@ -64,6 +67,10 @@ class LroEngine:
         #: (mirrors real NICs' per-port LRO disable bit).  ``None`` keeps
         #: ``accept()`` on the ungoverned hot path.
         self.governor = governor
+        #: Optional :class:`~repro.buffers.slab.PacketSlab` that takes each
+        #: segment once it is merged into a session head.  Attached by the
+        #: receiver machine; ``None`` leaves merged segments to the collector.
+        self.slab = None
         self.passthrough_degraded = 0
         self.table: Dict[FlowKey, _LroSession] = {}
         self.merged_segments = 0
@@ -74,7 +81,7 @@ class LroEngine:
     def _mergeable(self, pkt: Packet) -> bool:
         if pkt.payload_len == 0:
             return False
-        if pkt.tcp.flags & ~(TcpFlags.ACK | TcpFlags.PSH):
+        if int(pkt.tcp.flags) & _NOT_ACK_PSH:
             return False
         if pkt.ip.has_options or pkt.ip.is_fragment:
             return False
@@ -173,6 +180,11 @@ class LroEngine:
         if tr is not None:
             # The absorbed segment's own arrival time stamps the merge.
             tr.event(Stage.LRO_MERGE, pkt.rx_time, args={"segs": session.segs})
+        slab = self.slab
+        if slab is not None:
+            # The head now carries everything the segment held; nothing
+            # downstream of the NIC ever sees the segment itself.
+            slab.release(pkt)
 
     def _close(self, session: _LroSession) -> Packet:
         pkt = session.packet

@@ -409,6 +409,10 @@ def bind_machine(registry: MetricsRegistry, machine) -> None:
         registry.gauge("slab.recycled", lambda s=slab: s.recycled)
         registry.gauge("slab.misses", lambda s=slab: s.misses)
         registry.gauge("slab.free_len", lambda s=slab: len(s.free))
+        registry.gauge("slab.released", lambda s=slab: s.released)
+        # Releases dropped because the freelist was at its cap: nonzero
+        # means dead packets outran the template re-stamps.
+        registry.gauge("slab.overflow", lambda s=slab: s.overflow)
 
 
 def bind_connections(registry: MetricsRegistry, connections: Iterable) -> None:

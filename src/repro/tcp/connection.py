@@ -55,9 +55,11 @@ _F_SYN = int(TcpFlags.SYN)
 _F_RST = int(TcpFlags.RST)
 _F_ACK = int(TcpFlags.ACK)
 _F_SYN_FIN = _F_SYN | _F_FIN
-#: Pre-combined enum member for the data-segment fast path (enum ``|`` at
-#: call time constructs a new member each call).
+#: Pre-combined enum members for the segments a connection sends (enum
+#: ``|`` at call time constructs a new member each call).
 _ACK_PSH = TcpFlags.ACK | TcpFlags.PSH
+_SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
+_FIN_ACK = TcpFlags.FIN | TcpFlags.ACK
 _SEQ_MASK = 0xFFFFFFFF
 _SEQ_HALF = 0x80000000
 #: The state nearly every segment arrives in, as a module constant so the
@@ -429,7 +431,7 @@ class TcpConnection:
         if pkt.tcp.options.timestamp:
             self.ts_recent = pkt.tcp.options.timestamp[0]
         self.state = TcpState.SYN_RCVD
-        self._send_control(TcpFlags.SYN | TcpFlags.ACK, syn_options=True)
+        self._send_control(_SYN_ACK, syn_options=True)
         self._arm_rto()
 
     def _on_syn_ack(self, pkt: Packet) -> None:
@@ -683,7 +685,7 @@ class TcpConnection:
             self.state = TcpState.FIN_WAIT_1
         elif self.state is TcpState.CLOSE_WAIT:
             self.state = TcpState.LAST_ACK
-        self._send_control(TcpFlags.FIN | TcpFlags.ACK)
+        self._send_control(_FIN_ACK)
         self._arm_rto()
 
     def _check_fin_acked(self, ack: int) -> None:
@@ -764,14 +766,14 @@ class TcpConnection:
     def _send_control(self, flags: TcpFlags, syn_options: bool = False) -> None:
         options = self._syn_options() if syn_options else None
         pkt = self._build_packet(self.snd_nxt, flags, options=options)
-        consumes = 1 if (flags & (TcpFlags.SYN | TcpFlags.FIN)) else 0
-        if consumes:
+        bits = int(flags)
+        if bits & _F_SYN_FIN:
             self.rtx_queue.append(
                 _RtxRecord(
                     self.snd_nxt,
                     0,
-                    fin=bool(flags & TcpFlags.FIN),
-                    syn=bool(flags & TcpFlags.SYN),
+                    fin=bool(bits & _F_FIN),
+                    syn=bool(bits & _F_SYN),
                     time_sent=self.clock(),
                 )
             )
@@ -1037,10 +1039,10 @@ class TcpConnection:
         rec.time_sent = self.clock()
         self.stats.retransmits += 1
         if rec.syn:
-            self._send_retransmit_control(rec, TcpFlags.SYN if self.state is TcpState.SYN_SENT else (TcpFlags.SYN | TcpFlags.ACK))
+            self._send_retransmit_control(rec, TcpFlags.SYN if self.state is TcpState.SYN_SENT else _SYN_ACK)
             return
         if rec.fin and rec.length == 0:
-            self._send_retransmit_control(rec, TcpFlags.FIN | TcpFlags.ACK)
+            self._send_retransmit_control(rec, _FIN_ACK)
             return
         payload = None
         if self.source is not None and self.config.materialize_payload:
@@ -1049,7 +1051,7 @@ class TcpConnection:
         elif self.source is not None and getattr(self.source, "materialize", False):
             offset = seq_diff(rec.seq, self._send_base_seq)
             payload = self.source.read(offset, rec.length)
-        pkt = self._build_packet(rec.seq, TcpFlags.ACK | TcpFlags.PSH, payload_len=rec.length, payload=payload)
+        pkt = self._build_packet(rec.seq, _ACK_PSH, payload_len=rec.length, payload=payload)
         self.stats.segs_out += 1
         self.transport.send_packet(self, pkt)
 

@@ -8,12 +8,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.checksum import (
+    _ones_complement_sum,
     checksum_add,
     checksum_update_u32,
     checksums_equivalent,
     internet_checksum,
     verify_checksum,
 )
+
+
+def _word_loop_sum(data: bytes) -> int:
+    """RFC 1071's sum one 16-bit word at a time: the reference for the
+    integer fold ``_ones_complement_sum`` computes."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
 
 
 def test_known_vector():
@@ -36,6 +50,18 @@ def test_verify_checksum_roundtrip():
     full = payload + (b"\x00" if len(payload) % 2 else b"")
     # Embed the checksum as an extra word: sum must come out as all-ones.
     assert verify_checksum(full + struct.pack("!H", csum))
+
+
+@given(st.binary(max_size=200))
+def test_fold_matches_word_loop(data):
+    assert _ones_complement_sum(data) == _word_loop_sum(data)
+
+
+@pytest.mark.parametrize("data", [b"", b"\x00", b"\x00" * 44, b"\xff", b"\xff" * 44, b"\xff\xfe\x00\x01"])
+def test_fold_matches_word_loop_at_zero_sums(data):
+    """Both representations of zero: all-0x00 data sums to 0, while
+    all-0xFF data and other nonzero multiples of 0xFFFF sum to 0xFFFF."""
+    assert _ones_complement_sum(data) == _word_loop_sum(data)
 
 
 @given(st.binary(min_size=0, max_size=200))

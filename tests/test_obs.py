@@ -165,6 +165,26 @@ class TestMetricsRegistry:
         text = reg.render_text("t")
         assert "a.first: 0" in text and text.startswith("t: 2 metrics")
 
+    def test_machine_slab_gauges_show_releases_dropped_at_the_cap(self):
+        from repro.obs.metrics import bind_machine
+
+        sim, machine, _clients, _senders = build_stream_rig(
+            linux_up_config(), OptimizationConfig.optimized()
+        )
+        slab = machine.packet_slab
+        slab.capacity = 4  # small enough that releases hit the cap
+        reg = MetricsRegistry()
+        bind_machine(reg, machine)
+        sim.run(until=0.003)
+        doc = reg.to_json()
+        names = ("recycled", "misses", "free_len", "released", "overflow")
+        exported = {name: doc[f"slab.{name}"]["value"] for name in names}
+        assert exported == {
+            "recycled": slab.recycled, "misses": slab.misses, "free_len": len(slab.free),
+            "released": slab.released, "overflow": slab.overflow,
+        }
+        assert exported["overflow"] > 0
+
     def test_log2_histogram_buckets(self):
         from repro.obs import Log2Histogram
 

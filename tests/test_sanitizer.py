@@ -226,6 +226,30 @@ class TestStructuralAudits:
         with pytest.raises(InvariantViolation, match="ring packet conservation"):
             fire(sim, 4)
 
+    @pytest.mark.parametrize("where", ["ring", "LRO table"])
+    def test_freelisted_packet_held_by_nic_caught(self, where):
+        """A packet a ring or an open LRO session still holds must not sit
+        on the packet slab's freelist (reuse-after-free)."""
+        from repro.buffers.slab import PacketSlab
+        from repro.net.packet import make_data_segment
+        from repro.nic.lro import LroEngine
+
+        sim, _sanitizer, machine = make_sanitized()
+        pkt = make_data_segment(1, 2, 3, 4, seq=1000, ack=0, payload_len=100)
+        pkt.csum_verified = True
+        queue = type("FakeQueue", (), {"index": 0, "ring": RxRing(capacity=4), "lro": LroEngine()})()
+        if where == "ring":
+            queue.ring.post(pkt)
+        else:
+            assert queue.lro.accept(pkt) == []
+        stats = type("FakeNicStats", (), {"rx_frames": 1})()
+        nic = type("FakeNic", (), {"name": "fake-eth0", "n_queues": 1, "queues": [queue], "stats": stats})()
+        machine.nics.append(nic)
+        fire(sim, 4)  # clean audit first
+        assert PacketSlab().release(pkt)
+        with pytest.raises(InvariantViolation, match=f"q0 {where}: holds a packet that is on the slab freelist"):
+            fire(sim, 4)
+
 
 # ----------------------------------------------------------------------
 # clean end-to-end runs (real rigs)
@@ -333,9 +357,18 @@ class TestBrokenConnectionEndToEnd:
 # ----------------------------------------------------------------------
 # aggregation / template checks on corrupted packet structures
 # ----------------------------------------------------------------------
+class _Captured(Exception):
+    """Stops a rig's run at the deliver hook that raised it."""
+
+
 class TestPacketStructureChecks:
     def _delivered_aggregate(self):
-        """Capture one real multi-fragment aggregate skb from a live rig."""
+        """Capture one real multi-fragment aggregate skb from a live rig.
+
+        The run stops inside the deliver hook, before the kernel takes the
+        skb: once freed, its head and fragments go back to the packet slab,
+        which re-stamps them for other flows.
+        """
         handle = install()
         captured = []
         try:
@@ -347,17 +380,21 @@ class TestPacketStructureChecks:
             original = aggregator.deliver
 
             def capturing(skb):
-                if skb.frags and len(captured) < 1:
+                if skb.frags:
                     captured.append(skb)
+                    raise _Captured
                 return original(skb)
 
             aggregator.deliver = capturing
             sanitizer = handle.sanitizers[-1]
-            sim.run(until=0.02)
+            with pytest.raises(_Captured):
+                sim.run(until=0.02)
         finally:
             uninstall(handle)
-        assert captured, "no aggregate was produced"
-        return sanitizer, aggregator, captured[0]
+        skb = captured[0]
+        assert not skb.head._slab_free
+        assert not any(frag._slab_free for frag in skb.frags)
+        return sanitizer, aggregator, skb
 
     def test_fragment_edge_corruption_detected(self):
         sanitizer, aggregator, skb = self._delivered_aggregate()
@@ -513,12 +550,12 @@ class TestFaultInvariantTampering:
 # reorder-repair audits: each fires on the matching tampered state
 # ----------------------------------------------------------------------
 class TestRepairInvariantTampering:
-    """The five repair-buffer audits (per-flow bound, sorted order, release
-    monotonicity, deadline, conservation) each trip on exactly the tamper
-    they guard against.  Hold-state tampers use fabricated flows on the
-    fake-machine harness — on a live rig in-order drains empty the buffer
-    faster than the deep-audit cadence; the conservation tamper runs end to
-    end on a real repair-enabled rig."""
+    """The six repair-buffer audits (per-flow bound, reuse-after-free,
+    sorted order, release monotonicity, deadline, conservation) each trip
+    on exactly the tamper they guard against.  Hold-state tampers use
+    fabricated flows on the fake-machine harness — on a live rig in-order
+    drains empty the buffer faster than the deep-audit cadence; the
+    conservation tamper runs end to end on a real repair-enabled rig."""
 
     def _repair_rig(self):
         from repro.core.config import RepairConfig
@@ -584,6 +621,20 @@ class TestRepairInvariantTampering:
         st = self._park(repair, [1000], deadline=-1.0)  # expired before now
         assert not st.release_pending
         with pytest.raises(InvariantViolation, match="parked past its deadline"):
+            fire(sim, 4)
+
+    def test_freelisted_held_frame_caught(self):
+        """A frame the repair stage still parks must not be on the packet
+        slab's freelist, where the slab would re-stamp it for another flow."""
+        from repro.buffers.slab import PacketSlab
+        from repro.net.packet import make_data_segment
+
+        sim, repair = self._repair_rig()
+        st = self._park(repair, [1000])
+        pkt = make_data_segment(1, 2, 3, 4, seq=1000, ack=0, payload_len=100)
+        assert PacketSlab().release(pkt)
+        st.held = [(0.0, pkt)]
+        with pytest.raises(InvariantViolation, match="hold buffer: holds a packet that is on the slab freelist"):
             fire(sim, 4)
 
     def test_occupancy_counter_tamper_caught(self):
