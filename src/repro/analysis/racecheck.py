@@ -33,27 +33,31 @@ and draws no randomness — so enabled runs are bit-identical to unchecked
 ones (the differential tests in ``tests/test_racecheck.py`` assert this
 on the Figure 7 and multi-queue workloads).
 
-Usage::
+Usage (the one install API, shared with :mod:`repro.analysis.sanitizer`)::
 
-    from repro.analysis.racecheck import install, uninstall
-    handle = install()          # every Simulator and multi-CPU
-                                # ReceiverMachine from now on
-    ...                         # run experiments
-    uninstall(handle)
+    from repro.analysis.racecheck import RaceChecker
+    from repro.sim.engine import install_checker, uninstall_checker
 
-or ``python -m repro run ... --racecheck``, or ``REPRO_RACECHECK=1 pytest``
-(see ``tests/conftest.py``).  Composes with the invariant sanitizer
+    checks = install_checker(RaceChecker)   # every Simulator and multi-CPU
+                                            # ReceiverMachine from now on
+    ...                                     # run; checks.observers holds
+                                            # each RaceChecker built
+    uninstall_checker(RaceChecker)
+
+or ``python -m repro run ... --racecheck`` (for that command only, its
+``--jobs`` workers included), or ``REPRO_RACECHECK=1 pytest`` (see
+``tests/conftest.py``).  Composes with the invariant sanitizer
 (``--sanitize``): both observers chain on the same after-event hook.
 """
 
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cpu.categories import Category
-from repro.sim.engine import Simulator, install_observer, uninstall_observer
+from repro.sim.engine import Simulator
 
 #: Frames of context kept per captured stack (innermost last).
 _STACK_LIMIT = 12
@@ -342,48 +346,3 @@ class RaceChecker:
         else:
             lines.append("  ownership established at construction (untagged)")
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# process-wide installation (mirrors repro.analysis.sanitizer)
-# ----------------------------------------------------------------------
-@dataclass(eq=False)
-class _InstallHandle:
-    """The installed race checker: an observer factory giving every new
-    Simulator a :class:`RaceChecker`, collected in ``checkers``."""
-
-    checkers: List[RaceChecker] = field(default_factory=list)
-
-    def __call__(self, sim: Simulator) -> RaceChecker:
-        checker = RaceChecker(sim)
-        self.checkers.append(checker)
-        return checker
-
-
-_active_handle: Optional[_InstallHandle] = None
-
-
-def install() -> _InstallHandle:
-    """Race-check every Simulator and multi-queue machine created from now
-    on.  Idempotent: a second call returns the active handle."""
-    global _active_handle
-    if _active_handle is None:
-        _active_handle = _InstallHandle()
-        install_observer(_active_handle)
-    return _active_handle
-
-
-def uninstall(handle: Optional[_InstallHandle] = None) -> None:
-    """Undo :func:`install`.  Already-created simulators stay checked."""
-    global _active_handle
-    if handle is None:
-        handle = _active_handle
-    if handle is None:
-        return
-    uninstall_observer(handle)
-    if handle is _active_handle:
-        _active_handle = None
-
-
-def is_installed() -> bool:
-    return _active_handle is not None

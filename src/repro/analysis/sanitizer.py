@@ -33,27 +33,32 @@ Violations raise :class:`InvariantViolation` immediately, at the event that
 broke the contract — not thousands of events later when a throughput number
 comes out wrong.
 
-Usage::
+Usage (the one install API, shared with :mod:`repro.analysis.racecheck`)::
 
-    from repro.analysis.sanitizer import install, uninstall
-    handle = install()          # every Simulator and receiver machine (any
-                                # queue count, or Xen) from now on
-    ...                         # run experiments
-    uninstall(handle)
+    from repro.analysis.sanitizer import SimSanitizer
+    from repro.sim.engine import install_checker, uninstall_checker
 
-or ``python -m repro.cli --sanitize ...``, or ``REPRO_SANITIZE=1 pytest``
-(see ``tests/conftest.py``).  The per-event cost is real (~2-4x slowdown);
-the sanitizer is a debugging and CI tool, not a default.
+    checks = install_checker(SimSanitizer)  # every Simulator and receiver
+                                            # machine (any queue count, or
+                                            # Xen) from now on
+    ...                                     # run; checks.observers holds
+                                            # each SimSanitizer built
+    uninstall_checker(SimSanitizer)
+
+or ``python -m repro run ... --sanitize`` (for that command only, its
+``--jobs`` workers included), or ``REPRO_SANITIZE=1 pytest`` (see
+``tests/conftest.py``).  The per-event cost is real (~2-4x slowdown); the
+sanitizer is a debugging and CI tool, not a default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.ack_offload import expand_template
 from repro.net.checksum import checksums_equivalent
-from repro.sim.engine import Simulator, install_observer, uninstall_observer
+from repro.sim.engine import Simulator
 from repro.tcp.state import TcpState
 
 _SEQ_MASK = 0xFFFFFFFF
@@ -660,51 +665,3 @@ class SimSanitizer:
                 f"{parked} parked in partial aggregates + "
                 f"{dropped} dropped on pool exhaustion"
             )
-
-
-# ----------------------------------------------------------------------
-# process-wide installation
-# ----------------------------------------------------------------------
-@dataclass(eq=False)
-class _InstallHandle:
-    """The installed sanitizer: an observer factory giving every new
-    Simulator a :class:`SimSanitizer`, collected in ``sanitizers``."""
-
-    deep_every: int
-    sanitizers: List[SimSanitizer] = field(default_factory=list)
-
-    def __call__(self, sim: Simulator) -> SimSanitizer:
-        sanitizer = SimSanitizer(sim, deep_every=self.deep_every)
-        self.sanitizers.append(sanitizer)
-        return sanitizer
-
-
-_active_handle: Optional[_InstallHandle] = None
-
-
-def install(deep_every: int = DEEP_AUDIT_INTERVAL) -> _InstallHandle:
-    """Sanitize every Simulator and receiver machine created from now on.
-
-    Idempotent: a second call returns the already-active handle.
-    """
-    global _active_handle
-    if _active_handle is None:
-        _active_handle = _InstallHandle(deep_every)
-        install_observer(_active_handle)
-    return _active_handle
-
-
-def uninstall(handle: Optional[_InstallHandle] = None) -> None:
-    """Undo :func:`install`.  Already-created simulators stay sanitized."""
-    global _active_handle
-    if handle is None:
-        handle = _active_handle
-    if handle is None:
-        return
-    uninstall_observer(handle)
-    if handle is _active_handle:
-        _active_handle = None
-
-
-def is_installed() -> bool:
-    return _active_handle is not None

@@ -4,8 +4,7 @@ Usage::
 
     python -m repro list
     python -m repro run figure7 [--quick] [--sanitize] [--csv out.csv] [--jobs N]
-    python -m repro run figure7 --quick --trace trace.json --metrics-out m.json \
-        --sample-interval 0.005 --profile-out profile.json
+    python -m repro run figure7 --quick --obs-dir obs --profile-out obs/profile.json
     python -m repro run extension_rss_scaling [--queues 1 2 4 8] [--jobs N]
     python -m repro run figure7 --quick --drop 0.01 --reorder 0.02 --dup 0.01
     python -m repro run figure12 --quick --fault-plan plan.json --jobs -1
@@ -14,8 +13,8 @@ Usage::
     python -m repro report [--quick] [EXPERIMENTS.md]
 
 ``--sanitize`` (on ``run``/``all``/``report``) installs the runtime
-invariant checker (:mod:`repro.analysis.sanitizer`) for the whole run,
-including sweep worker processes.  Expect a slowdown; any protocol or
+invariant checker (:mod:`repro.analysis.sanitizer`) for the command, its
+sweep worker processes included.  Expect a slowdown; any protocol or
 conservation violation aborts with a precise error instead of a wrong
 number.
 
@@ -23,7 +22,8 @@ number.
 detector (:mod:`repro.analysis.racecheck`): any access to another CPU's
 queue state that is not charged through the CrossCpuCostModel (or
 explicitly handed off) aborts with both sim-time stacks.  Checked runs
-produce bit-identical rows; composes with ``--sanitize``.
+produce bit-identical rows; composes with ``--sanitize``.  Both checkers
+are off again however the command ends.
 
 Wire-impairment flags (on ``run``; see :mod:`repro.faults`): ``--drop`` /
 ``--reorder`` / ``--dup`` apply independent per-frame probabilities to
@@ -32,132 +32,102 @@ FILE.json`` arms a deterministic fault schedule on top.  Experiments that
 do not take impairments reject the flags loudly rather than ignoring them.
 Impaired rows stay bit-identical between serial and ``--jobs`` runs.
 
-Observability flags (see :mod:`repro.obs`): ``--trace PATH`` writes a
-merged Chrome trace-event JSON (open at ui.perfetto.dev); ``--metrics-out
-PATH`` writes every run's metrics registry; ``--sample-interval SEC``
-samples throughput/cwnd/queue-depth series in sim time and prints a text
-dashboard.  ``run`` alone also takes ``--ledger-out PATH``, the exact
-cycle ledger — every cycle attributed along (cpu, category, lifecycle
-stage, flow class, sim-time phase), reconciled bit-exactly against the
-profiler — and ``--flame-out PATH``, the same attribution as
-collapsed-stack flamegraph text.  Ledger exports feed ``python -m
-repro.obs diff A.json B.json`` (exact differential profiling).  All five
-are collected in-process, so none of them combines with ``--jobs`` above
-one worker on an experiment that sweeps in worker processes: that exits 2
-before anything runs instead of writing a partial export.
-``--profile-out PATH`` (on ``run``) writes the per-category cycle
-breakdown from the rows, so it works with ``--jobs``.  Measured rows are
-bit-identical with or without any of these flags.
+Observability (``run`` only; see :mod:`repro.obs`): ``--obs-dir DIR`` turns
+on every collector for the command — the packet-lifecycle tracer, the
+metrics registry, the exact cycle ledger, and the sampler every
+:data:`~repro.obs.DEFAULT_SAMPLE_INTERVAL` of simulated time — and writes
+
+* ``DIR/trace.json``: the merged Chrome trace-event JSON (open at
+  ui.perfetto.dev);
+* ``DIR/observations.json``: every run's observation — metrics, series,
+  trace summary, and ledger — as one ``{"runs": [...]}`` bundle, which
+  ``python -m repro.obs diff`` reads (exact differential profiling);
+* ``DIR/run.flame``: the ledgers as collapsed-stack flamegraph text;
+* ``DIR/dashboard.txt``: each run's sampled series as text charts.
+
+The collectors live in this process, so only experiments whose every run
+is observable accept ``--obs-dir``
+(:data:`~repro.experiments.runner.OBSERVABLE_EXPERIMENTS`), and not with
+``--jobs`` above one worker on a sweep experiment; otherwise the command
+exits 2 before anything runs or is written.  ``--profile-out PATH`` (on
+``run``) writes the per-category cycle breakdown from the rows, so it
+works with ``--jobs``.  Measured rows are bit-identical with or without
+any of these flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
+from repro import obs
 from repro.analysis.export import breakdown_to_json, result_to_csv, results_to_csv_files
 from repro.analysis.validation import validate
 from repro.experiments.runner import REGISTRY, run_all, run_experiment
-from repro.parallel import resolve_jobs
-
-#: Flags whose collectors live in this process (``args`` attribute names).
-_OBS_FLAGS = ("trace", "metrics_out", "sample_interval", "ledger_out", "flame_out")
-
-
-def _obs_flags_given(args) -> List[str]:
-    return [
-        "--" + name.replace("_", "-") for name in _OBS_FLAGS if getattr(args, name, None)
-    ]
-
-
-def _obs_jobs_error(args) -> Optional[str]:
-    """Why this command line would export a partial observation, if it would.
-
-    The collectors run in this process, so sweep points sent to ``--jobs``
-    worker processes would be missing from every export.
-    """
-    flags = _obs_flags_given(args)
-    jobs = getattr(args, "jobs", None)
-    if not flags or resolve_jobs(jobs) <= 1:
-        return None
-    ids = [args.experiment] if args.command == "run" else list(REGISTRY)
-    swept = [eid for eid in ids if "jobs" in inspect.signature(REGISTRY[eid]).parameters]
-    if not swept:
-        return None
-    return (
-        f"{', '.join(flags)} cannot be combined with --jobs {jobs}: "
-        f"{', '.join(swept)} would run sweep points in worker processes, "
-        "which the in-process collectors never see; run without --jobs"
-    )
+from repro.sim.engine import install_checker, installed_checkers, uninstall_checker
 
 
 @contextmanager
-def _observed(args) -> Iterator[None]:
-    """Turn CLI observability flags into the process-global obs config for
-    the duration of one command, and back to all-off however it ends."""
-    if not _obs_flags_given(args):
-        yield
-        return
-    from repro import obs
+def _instrumented(args) -> Iterator[None]:
+    """Switch this command's checkers (``--sanitize``, ``--racecheck``) and
+    collectors (``--obs-dir``) on, and back off however the command ends."""
+    wanted = []
+    if getattr(args, "sanitize", False):
+        from repro.analysis.sanitizer import SimSanitizer
 
-    obs.configure(
-        trace=bool(args.trace),
-        metrics=bool(args.metrics_out),
-        sample_interval=args.sample_interval,
-        ledger=bool(getattr(args, "ledger_out", None) or getattr(args, "flame_out", None)),
-    )
+        wanted.append(SimSanitizer)
+    if getattr(args, "racecheck", False):
+        from repro.analysis.racecheck import RaceChecker
+
+        wanted.append(RaceChecker)
+    fresh = [cls for cls in wanted if cls not in installed_checkers()]
+    for cls in fresh:
+        install_checker(cls)
+    observed = bool(getattr(args, "obs_dir", None))
+    if observed:
+        obs.configure(
+            trace=True, metrics=True, ledger=True,
+            sample_interval=obs.DEFAULT_SAMPLE_INTERVAL,
+        )
     try:
         yield
     finally:
-        obs.reset()
+        if observed:
+            obs.reset()
+        for cls in fresh:
+            uninstall_checker(cls)
 
 
-def _obs_export(args) -> None:
-    """Write/print everything the finished runs collected."""
-    if not _obs_flags_given(args):
-        return
-    from repro import obs
-
+def _export_observations(obs_dir: str) -> None:
+    """Write everything the finished runs collected into ``obs_dir``."""
     done = obs.drain_completed()
-    if args.trace:
-        doc = obs.completed_chrome_trace(done)
-        with open(args.trace, "w") as fh:
-            json.dump(doc, fh)
-        spans = sum(len(o.tracer) for o in done if o.tracer is not None)
-        print(f"wrote {args.trace} ({spans} events, {len(done)} runs; "
-              "open at ui.perfetto.dev)")
-    if args.metrics_out:
-        with open(args.metrics_out, "w") as fh:
-            json.dump({"runs": [o.to_json() for o in done]}, fh, indent=1)
-        print(f"wrote {args.metrics_out} ({len(done)} runs)")
-    ledger_out = getattr(args, "ledger_out", None)
-    if ledger_out:
-        doc = {"runs": [o.to_json() for o in done if o.ledger is not None]}
-        with open(ledger_out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-        print(f"wrote {ledger_out} ({len(doc['runs'])} ledgers; "
-              "diff with `python -m repro.obs diff`)")
-    flame_out = getattr(args, "flame_out", None)
-    if flame_out:
-        ledgers = [o.ledger.to_json() for o in done if o.ledger is not None]
-        with open(flame_out, "w") as fh:
-            fh.write(obs.collapsed_text(ledgers))
-        print(f"wrote {flame_out} ({len(ledgers)} runs, collapsed-stack "
-              "format for flamegraph.pl/speedscope)")
-    if args.sample_interval:
-        for o in done:
-            if o.sampler is not None and o.sampler.samples_taken:
-                print()
-                print(f"== {o.label} ==")
-                latency = (
-                    o.tracer.latency_quantiles() if o.tracer is not None else None
-                )
-                print(o.sampler.render_dashboard(latency=latency))
+    os.makedirs(obs_dir, exist_ok=True)
+    with open(os.path.join(obs_dir, "trace.json"), "w") as fh:
+        json.dump(obs.completed_chrome_trace(done), fh)
+    with open(os.path.join(obs_dir, "observations.json"), "w") as fh:
+        json.dump({"runs": [o.to_json() for o in done]}, fh, indent=1)
+    with open(os.path.join(obs_dir, "run.flame"), "w") as fh:
+        fh.write(obs.collapsed_text(
+            [o.ledger.to_json() for o in done if o.ledger is not None]
+        ))
+    dashboards = [
+        f"== {o.label} ==\n" + o.sampler.render_dashboard(
+            latency=o.tracer.latency_quantiles() if o.tracer is not None else None
+        )
+        for o in done if o.sampler is not None and o.sampler.samples_taken
+    ]
+    with open(os.path.join(obs_dir, "dashboard.txt"), "w") as fh:
+        fh.write("\n\n".join(dashboards) + "\n" if dashboards else "")
+    spans = sum(len(o.tracer) for o in done if o.tracer is not None)
+    print(
+        f"wrote {obs_dir}: {len(done)} runs, {spans} trace events "
+        "(trace.json opens at ui.perfetto.dev; observations.json feeds "
+        "`python -m repro.obs diff`)"
+    )
 
 
 def _cmd_list(_args) -> int:
@@ -198,37 +168,35 @@ def _impairments_from_args(args):
 
 
 def _cmd_run(args) -> int:
-    with _observed(args):
-        try:
-            result = run_experiment(
-                args.experiment, quick=args.quick, jobs=args.jobs, queues=args.queues,
-                impairments=_impairments_from_args(args),
-                numa_nodes=args.numa_nodes,
-                zero_copy=True if args.zero_copy else None,
-                ledger=bool(args.ledger_out or args.flame_out),
-            )
-        except (KeyError, ValueError) as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        _print_result(result, args.csv)
-        if args.profile_out:
-            with open(args.profile_out, "w") as fh:
-                json.dump(breakdown_to_json(result), fh, indent=1)
-            print(f"wrote {args.profile_out}")
-        _obs_export(args)
+    try:
+        result = run_experiment(
+            args.experiment, quick=args.quick, jobs=args.jobs, queues=args.queues,
+            impairments=_impairments_from_args(args),
+            numa_nodes=args.numa_nodes,
+            zero_copy=True if args.zero_copy else None,
+            observed=bool(args.obs_dir),
+        )
+    except (KeyError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    _print_result(result, args.csv)
+    if args.obs_dir:
+        _export_observations(args.obs_dir)
+    if args.profile_out:
+        with open(args.profile_out, "w") as fh:
+            json.dump(breakdown_to_json(result), fh, indent=1)
+        print(f"wrote {args.profile_out}")
     return 0
 
 
 def _cmd_all(args) -> int:
-    with _observed(args):
-        results = run_all(quick=args.quick, jobs=args.jobs)
-        for result in results:
-            _print_result(result)
-            print()
-        if args.csv_dir:
-            paths = results_to_csv_files(results, args.csv_dir)
-            print(f"wrote {len(paths)} CSV files to {args.csv_dir}")
-        _obs_export(args)
+    results = run_all(quick=args.quick, jobs=args.jobs)
+    for result in results:
+        _print_result(result)
+        print()
+    if args.csv_dir:
+        paths = results_to_csv_files(results, args.csv_dir)
+        print(f"wrote {len(paths)} CSV files to {args.csv_dir}")
     return 0
 
 
@@ -260,26 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(repro.analysis.racecheck) for this run, including sweep workers; "
         "results are bit-identical to an unchecked run"
     )
-
-    def add_obs_flags(sub_parser) -> None:
-        sub_parser.add_argument(
-            "--trace", metavar="PATH",
-            help="record packet-lifecycle spans and write a Chrome "
-            "trace-event JSON (view at ui.perfetto.dev); like every "
-            "observability flag, refused with --jobs above 1 on sweep "
-            "experiments, whose worker processes it cannot see",
-        )
-        sub_parser.add_argument(
-            "--metrics-out", metavar="PATH",
-            help="register every subsystem's counters/gauges/histograms "
-            "and write one JSON document per run",
-        )
-        sub_parser.add_argument(
-            "--sample-interval", type=float, default=None, metavar="SEC",
-            help="sample throughput/cwnd/queue-depth series every SEC "
-            "simulated seconds and print a text dashboard (with per-stage "
-            "sojourn p50/p90/p99 when --trace is also on)",
-        )
 
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("experiment", choices=sorted(REGISTRY))
@@ -334,18 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-category cycle breakdown as JSON, keyed by "
         "the same Category names the figure tables use",
     )
-    add_obs_flags(p_run)
     p_run.add_argument(
-        "--ledger-out", metavar="PATH",
-        help="attribute every CPU cycle along (cpu, category, stage, "
-        "flow, phase) and write the exact ledgers as JSON; only "
-        "experiments whose runs are observable accept this "
-        "(loud error otherwise)",
-    )
-    p_run.add_argument(
-        "--flame-out", metavar="PATH",
-        help="write the cycle ledger as collapsed-stack flamegraph "
-        "text (flamegraph.pl / speedscope)",
+        "--obs-dir", metavar="DIR",
+        help="turn on the tracer, metrics, cycle ledger and sampler, and "
+        "write DIR/trace.json, DIR/observations.json, DIR/run.flame and "
+        "DIR/dashboard.txt; only experiments whose runs are all "
+        "observable accept it, and not with --jobs above 1 on a sweep "
+        "(exit 2 before running)",
     )
     p_run.set_defaults(fn=_cmd_run)
 
@@ -355,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--racecheck", action="store_true", help=racecheck_help)
     p_all.add_argument("--csv-dir", metavar="DIR")
     p_all.add_argument("--jobs", type=int, default=None, metavar="N")
-    add_obs_flags(p_all)
     p_all.set_defaults(fn=_cmd_all)
 
     p_rep = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
@@ -369,23 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
-    error = _obs_jobs_error(args)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    if getattr(args, "sanitize", False):
-        from repro.analysis.sanitizer import install
-
-        install()
-        # Sweep worker processes read this in their pool initializer so the
-        # sanitizer follows the run across process boundaries.
-        os.environ["REPRO_SANITIZE"] = "1"
-    if getattr(args, "racecheck", False):
-        from repro.analysis.racecheck import install as install_racecheck
-
-        install_racecheck()
-        os.environ["REPRO_RACECHECK"] = "1"
-    return args.fn(args)
+    with _instrumented(args):
+        return args.fn(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -30,6 +30,7 @@ from repro.experiments import (
     table1_latency,
 )
 from repro.experiments.base import ExperimentResult
+from repro.parallel import resolve_jobs
 
 REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
     "figure1": figure01_prefetching.run,
@@ -56,12 +57,12 @@ REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
     "extension_zero_copy": extension_zero_copy.run,
 }
 
-#: Experiments whose measurements all run through the ``observe()``-capable
-#: streaming/multi-queue workloads in-process, so ``--ledger-out`` captures
-#: a cycle ledger for every run.  Everything else (latency tables, rigs
-#: built outside an observation) rejects the flag loudly instead of
-#: writing a silently incomplete ledger.
-LEDGER_EXPERIMENTS = frozenset({
+#: Experiments whose every run goes through the ``observe()``-capable
+#: streaming/many-connection workloads, so an observation (``--obs-dir``)
+#: sees all of them.  The others (latency tables, rigs built outside an
+#: observation) reject ``observed=True`` loudly instead of exporting an
+#: empty or partial observation.
+OBSERVABLE_EXPERIMENTS = frozenset({
     "figure1",
     "figure2",
     "figure3",
@@ -89,7 +90,7 @@ def run_experiment(
     impairments=None,
     numa_nodes: Optional[int] = None,
     zero_copy: Optional[bool] = None,
-    ledger: bool = False,
+    observed: bool = False,
 ) -> ExperimentResult:
     """Run one registered experiment by id (e.g. ``"figure7"``).
 
@@ -104,11 +105,12 @@ def run_experiment(
     them; asking an experiment that doesn't is an error, not a silent
     clean-wire run.  ``numa_nodes`` / ``zero_copy`` configure the memory
     hierarchy for experiments that model it (``extension_zero_copy``);
-    asking any other experiment is likewise a loud error.  ``ledger``
-    asserts the experiment is in :data:`LEDGER_EXPERIMENTS` (the CLI sets
-    it when ``--ledger-out`` is given) — experiments whose rigs run
-    outside an observation reject it rather than exporting a partial
-    cycle ledger.
+    asking any other experiment is likewise a loud error.  ``observed``
+    says the caller collects observations in this process (the CLI's
+    ``--obs-dir``): the experiment must be in
+    :data:`OBSERVABLE_EXPERIMENTS`, and a sweep must not send points to
+    ``jobs`` worker processes, which the collectors never see.  Either is
+    a ``ValueError`` before anything runs.
     """
     try:
         fn = REGISTRY[experiment_id]
@@ -116,13 +118,19 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {sorted(REGISTRY)}"
         ) from None
-    if ledger and experiment_id not in LEDGER_EXPERIMENTS:
-        raise ValueError(
-            f"experiment {experiment_id!r} does not run through the "
-            "observable streaming workloads, so --ledger-out would write an "
-            f"incomplete ledger; supported: {sorted(LEDGER_EXPERIMENTS)}"
-        )
     params = inspect.signature(fn).parameters
+    if observed and experiment_id not in OBSERVABLE_EXPERIMENTS:
+        raise ValueError(
+            f"experiment {experiment_id!r} builds rigs outside an observation, "
+            "so --obs-dir would export none of its runs; observable: "
+            f"{sorted(OBSERVABLE_EXPERIMENTS)}"
+        )
+    if observed and "jobs" in params and resolve_jobs(jobs) > 1:
+        raise ValueError(
+            f"--obs-dir cannot be combined with --jobs {jobs}: {experiment_id} "
+            "would run sweep points in worker processes, which the "
+            "in-process collectors never see; run without --jobs"
+        )
     kwargs = {}
     if jobs is not None and "jobs" in params:
         kwargs["jobs"] = jobs

@@ -2,17 +2,17 @@
 
 Usage::
 
-    python -m repro.obs check trace.json [metrics.json capture.json ...]
+    python -m repro.obs check obs/*      # every file `repro run --obs-dir obs` wrote
     python -m repro.obs diff A.json B.json [--expect-empty] [--json]
 
 ``check`` auto-detects the document kind (Chrome trace, metrics dump,
-observation bundle, packet-capture export, cycle ledger, or collapsed-stack
-flame file), validates its shape, and prints a one-line summary per file.
-Ring truncation (``events_dropped`` / ``records_dropped``) is reported as a
-loud WARNING — the totals-based reconciliation still holds, but per-event
-artifacts are incomplete.  Exit status 0 iff every file validates — this is
-what CI's ``obs-quick`` and ``obs-diff`` jobs run on the artifacts of a
-traced run.
+observation bundle, packet-capture export, cycle ledger, profile,
+collapsed-stack flame file, or sampler dashboard), validates its shape,
+and prints a one-line summary per file.  Ring truncation
+(``events_dropped`` / ``records_dropped``) is reported as a loud WARNING —
+the totals-based reconciliation still holds, but per-event artifacts are
+incomplete.  Exit status 0 iff every file validates — this is what CI's
+``obs`` job runs on the directory of an observed run.
 
 ``diff`` extracts the cycle ledgers from two exports (raw ledgers,
 observations, or ``{"runs": [...]}`` bundles — paired by index), prints the
@@ -35,6 +35,7 @@ from repro.obs.ledger import (
     check_ledger_document,
     ledger_documents,
 )
+from repro.obs.sampler import check_dashboard_text
 from repro.obs.trace import validate_chrome_trace
 
 _METRIC_KINDS = {"counter", "gauge", "histogram"}
@@ -182,7 +183,8 @@ def collect_warnings(doc: object, prefix: str = "") -> List[str]:
 
 def _check_one_file(path: str) -> int:
     """Validate one artifact file; returns 0/1.  Non-JSON files are
-    validated as collapsed-stack flame text."""
+    validated as a sampler dashboard when they open with ``== ``, else as
+    collapsed-stack flame text."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -192,8 +194,10 @@ def _check_one_file(path: str) -> int:
     try:
         doc = json.loads(text)
     except ValueError:
-        problems = check_flame_text(text)
-        kind = "flame"
+        if text.startswith("== "):
+            kind, problems = "dashboard", check_dashboard_text(text)
+        else:
+            kind, problems = "flame", check_flame_text(text)
     else:
         kind, problems = check_document(doc)
         for warning in collect_warnings(doc):

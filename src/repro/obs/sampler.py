@@ -187,6 +187,21 @@ class TimeSeriesSampler:
         return "\n\n".join(blocks)
 
 
+def check_dashboard_text(text: str) -> List[str]:
+    """Validate a ``dashboard.txt`` export: it opens with a ``== label ==``
+    line, and each such line is followed by its run's dashboard header."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("== "):
+        return ["does not open with a '== label ==' line"]
+    problems = []
+    for i, line in enumerate(lines):
+        if line.startswith("== ") and line.endswith(" =="):
+            header = lines[i + 1] if i + 1 < len(lines) else ""
+            if not header.startswith("time-series dashboard: "):
+                problems.append(f"line {i + 2}: {line} has no dashboard header")
+    return problems
+
+
 # ----------------------------------------------------------------------
 # standard probe sets for the streaming rigs
 # ----------------------------------------------------------------------

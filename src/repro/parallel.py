@@ -14,7 +14,10 @@ experiment's rows are byte-identical regardless of ``jobs`` — parallelism
 must never change science output.  Determinism holds because every source
 RNG is seeded per point inside the worker (never from global state), and
 worker processes are forked/spawned fresh so no simulation state leaks
-between points.
+between points.  The run-time checkers installed in the parent (see
+:func:`repro.sim.engine.install_checker`) go to every worker as one
+initializer argument, so workers are checked exactly as the parent is,
+under any start method.
 
 Workers must be module-level functions taking one picklable argument tuple
 and returning a picklable value; keep return values small (plain floats /
@@ -26,7 +29,9 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
+
+from repro.sim.engine import install_checker, installed_checkers
 
 _P = TypeVar("_P")
 _R = TypeVar("_R")
@@ -59,16 +64,10 @@ def ensure_picklable_worker(worker: Callable) -> None:
         ) from exc
 
 
-def _pool_worker_init() -> None:
-    """Executed in each pool process: mirror the parent's checker state."""
-    if os.environ.get("REPRO_SANITIZE") == "1":
-        from repro.analysis.sanitizer import install
-
-        install()
-    if os.environ.get("REPRO_RACECHECK") == "1":
-        from repro.analysis.racecheck import install as install_racecheck
-
-        install_racecheck()
+def _pool_worker_init(checkers: Dict[type, Dict[str, Any]]) -> None:
+    """Executed in each pool process: install the parent's checkers."""
+    for cls, kwargs in checkers.items():
+        install_checker(cls, **kwargs)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -101,7 +100,9 @@ def run_points(
         return [worker(p) for p in pts]
     ensure_picklable_worker(worker)
     with ProcessPoolExecutor(
-        max_workers=min(n_jobs, len(pts)), initializer=_pool_worker_init
+        max_workers=min(n_jobs, len(pts)),
+        initializer=_pool_worker_init,
+        initargs=(installed_checkers(),),
     ) as pool:
         # Executor.map preserves submission order, so rows built from the
         # returned list are identical to a serial run's.

@@ -34,7 +34,7 @@ schedule callbacks through one shared simulator instance.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Compact the heap when it holds more than this many cancelled entries and
 #: they outnumber the live ones.
@@ -42,22 +42,55 @@ _COMPACT_MIN_CANCELLED = 64
 
 _INF = float("inf")
 
-#: Observer factories of the installed run-time checkers (the invariant
-#: sanitizer, the race checker), in install order.
-_observer_factories: List[Callable[["Simulator"], Any]] = []
+
+class CheckerInstall:
+    """One installed run-time checker class (the invariant sanitizer, the
+    race checker): every :class:`Simulator` built while it is installed
+    gets one ``cls(sim, **kwargs)``, kept in ``observers``."""
+
+    __slots__ = ("cls", "kwargs", "observers")
+
+    def __init__(self, cls: type, kwargs: Dict[str, Any]):
+        self.cls = cls
+        self.kwargs = kwargs
+        self.observers: List[Any] = []
+
+    def attach(self, sim: "Simulator") -> Any:
+        observer = self.cls(sim, **self.kwargs)
+        self.observers.append(observer)
+        return observer
 
 
-def install_observer(factory: Callable[["Simulator"], Any]) -> None:
-    """Give every :class:`Simulator` built from now on one observer,
-    ``factory(sim)``; receiver machines hand themselves to it (its
-    ``watch_machine``) once constructed."""
-    _observer_factories.append(factory)
+#: The installed checkers, in install order.
+_installed: List[CheckerInstall] = []
 
 
-def uninstall_observer(factory: Callable[["Simulator"], Any]) -> None:
-    """Stop ``factory`` observing new simulators (existing ones keep their
-    observers); other installed factories are unaffected."""
-    _observer_factories[:] = [f for f in _observer_factories if f is not factory]
+def install_checker(cls: type, **kwargs: Any) -> CheckerInstall:
+    """Give every :class:`Simulator` built from now on a ``cls(sim,
+    **kwargs)`` observer; receiver machines hand themselves to it (its
+    ``watch_machine``) once constructed.
+
+    Idempotent per class: while ``cls`` is installed this returns its
+    install as it is, whatever ``kwargs`` say.
+    """
+    for install in _installed:
+        if install.cls is cls:
+            return install
+    install = CheckerInstall(cls, kwargs)
+    _installed.append(install)
+    return install
+
+
+def uninstall_checker(cls: type) -> None:
+    """Stop ``cls`` observing new simulators (existing ones keep their
+    observers); other installed checkers are unaffected."""
+    _installed[:] = [install for install in _installed if install.cls is not cls]
+
+
+def installed_checkers() -> Dict[type, Dict[str, Any]]:
+    """Each installed checker class with its keyword arguments, in install
+    order: what :func:`repro.parallel.run_points` hands its workers."""
+    return {install.cls: dict(install.kwargs) for install in _installed}
 
 
 class SimulationError(RuntimeError):
@@ -151,8 +184,8 @@ class Simulator:
         #: are registered (the normal fast path), the hook itself for one,
         #: a closure looping over a tuple for several.
         self._after_event: Optional[Callable[[], None]] = None
-        #: One observer per installed checker (see :func:`install_observer`).
-        self.observers: List[Any] = [factory(self) for factory in _observer_factories]
+        #: One observer per installed checker (see :func:`install_checker`).
+        self.observers: List[Any] = [install.attach(self) for install in _installed]
 
     # ------------------------------------------------------------------
     # scheduling

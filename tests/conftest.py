@@ -7,46 +7,33 @@ import os
 
 import pytest
 
+from repro.analysis.racecheck import RaceChecker
+from repro.analysis.sanitizer import SimSanitizer
 from repro.core.config import OptimizationConfig
 from repro.host.configs import linux_up_config
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, install_checker, uninstall_checker
 
 #: ``REPRO_SANITIZE=1 pytest`` runs the whole suite with the runtime
-#: invariant checker installed (see repro.analysis.sanitizer); CI runs the
-#: tier-1 suite once in this mode.
-_SANITIZE = os.environ.get("REPRO_SANITIZE") == "1"
+#: invariant checker installed (see repro.analysis.sanitizer), and
+#: ``REPRO_RACECHECK=1 pytest`` with the cross-CPU ownership race detector
+#: (see repro.analysis.racecheck); CI runs the tier-1 suite once sanitized
+#: and the checker tests once race-checked.
+_SUITE_CHECKERS = [
+    cls
+    for variable, cls in (("REPRO_SANITIZE", SimSanitizer), ("REPRO_RACECHECK", RaceChecker))
+    if os.environ.get(variable) == "1"
+]
 
-#: ``REPRO_RACECHECK=1 pytest`` likewise runs the suite with the cross-CPU
-#: ownership race detector installed (see repro.analysis.racecheck).
-_RACECHECK = os.environ.get("REPRO_RACECHECK") == "1"
 
-
-@pytest.fixture(autouse=_SANITIZE)
-def _sanitized_run():
-    if not _SANITIZE:  # autouse is False then, but keep the guard explicit
-        yield
-        return
-    from repro.analysis.sanitizer import install, uninstall
-
-    handle = install()
+@pytest.fixture(autouse=bool(_SUITE_CHECKERS))
+def _suite_checkers():
+    for cls in _SUITE_CHECKERS:
+        install_checker(cls)
     try:
         yield
     finally:
-        uninstall(handle)
-
-
-@pytest.fixture(autouse=_RACECHECK)
-def _racechecked_run():
-    if not _RACECHECK:
-        yield
-        return
-    from repro.analysis.racecheck import install, uninstall
-
-    handle = install()
-    try:
-        yield
-    finally:
-        uninstall(handle)
+        for cls in _SUITE_CHECKERS:
+            uninstall_checker(cls)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """CLI, CSV export, and validation-band tests."""
 
 import csv
+import functools
 import io
 import os
 
@@ -10,6 +11,8 @@ from repro.analysis.export import result_to_csv, results_to_csv_files
 from repro.analysis.validation import CheckResult, validate
 from repro.cli import build_parser, main
 from repro.experiments.base import ExperimentResult
+from repro.experiments.runner import OBSERVABLE_EXPERIMENTS, REGISTRY
+from repro.sim.engine import Simulator
 
 
 def fake_result(eid="figure99", rows=None, columns=None):
@@ -102,62 +105,74 @@ def test_cli_report_quick(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------- obs flags
-def _must_not_run(*_args, **_kwargs):
-    raise AssertionError("an experiment ran")
+_RETIRED_OBS_FLAGS = ("--trace", "--metrics-out", "--sample-interval", "--ledger-out", "--flame-out")
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--trace", "t.json"),
-    ("--metrics-out", "m.json"),
-    ("--sample-interval", "0.005"),
-    ("--ledger-out", "l.json"),
-    ("--flame-out", "f.flame"),
-])
-def test_cli_obs_flag_with_jobs_exits_before_running(flag, value, tmp_path, capsys, monkeypatch):
-    """The collectors never see sweep points sent to worker processes, so
-    an observability flag with --jobs above 1 on a sweep experiment exits 2,
-    naming both flags, before anything runs or is written."""
-    import repro.cli as cli
+def _stand_in(fn):
+    """A fake experiment with ``fn``'s signature, so the runner's gates see
+    the real parameters."""
 
-    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
-    monkeypatch.chdir(tmp_path)
-    assert main(["run", "figure11", "--quick", "--jobs", "2", flag, value]) == 2
-    err = capsys.readouterr().err
-    assert flag in err and "--jobs 2" in err
-    assert list(tmp_path.iterdir()) == []
+    @functools.wraps(fn)
+    def fake(**_kwargs):
+        return fake_result()
+
+    return fake
 
 
-def test_cli_all_obs_flag_with_jobs_exits_before_running(tmp_path, capsys, monkeypatch):
-    import repro.cli as cli
-
-    monkeypatch.setattr(cli, "run_all", _must_not_run)
-    monkeypatch.chdir(tmp_path)
-    assert main(["all", "--quick", "--jobs", "2", "--metrics-out", "m.json"]) == 2
-    err = capsys.readouterr().err
-    assert "--metrics-out" in err and "--jobs 2" in err
-    assert list(tmp_path.iterdir()) == []
+def test_cli_obs_dir_is_the_only_observability_flag(capsys):
+    """``run`` takes ``--obs-dir`` in place of the five export flags."""
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    usage = capsys.readouterr().out
+    assert "--obs-dir" in usage
+    assert [flag for flag in _RETIRED_OBS_FLAGS if flag in usage] == []
 
 
-@pytest.mark.parametrize("flag", ["--ledger-out", "--flame-out"])
+@pytest.mark.parametrize("flag", ["--ledger-out", "--flame-out", "--obs-dir"])
 def test_cli_all_rejects_ledger_flags(flag):
-    """Most experiments cannot export a ledger, so only ``run`` takes these."""
+    """``all`` takes no observability flag: most experiments cannot be
+    observed, so only ``run`` takes ``--obs-dir``."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["all", "--quick", flag, "x.json"])
     assert exc.value.code == 2
 
 
+def test_cli_obs_flag_with_jobs_exits_before_running(tmp_path, capsys, monkeypatch):
+    """The collectors never see sweep points sent to worker processes, so
+    --obs-dir with --jobs above 1 on a sweep experiment exits 2, naming both
+    flags, before anything runs or is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "figure11", "--quick", "--jobs", "2", "--obs-dir", "D"]) == 2
+    out, err = capsys.readouterr()
+    assert "--obs-dir" in err and "--jobs 2" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
-    ["run", "figure11", "--jobs", "1", "--ledger-out", "l.json"],
-    ["run", "table1", "--jobs", "2", "--trace", "t.json"],
+    ["run", "figure11", "--jobs", "1", "--obs-dir", "D"],
+    ["run", "figure3", "--jobs", "2", "--obs-dir", "D"],
     ["run", "figure11", "--jobs", "2", "--profile-out", "p.json"],
 ], ids=["serial", "no-sweep-to-split", "profile-read-from-rows"])
 def test_cli_obs_output_without_worker_runs_is_accepted(argv, tmp_path, monkeypatch):
-    import repro.cli as cli
+    import repro.experiments.runner as runner
 
-    monkeypatch.setattr(cli, "run_experiment", lambda *_a, **_k: fake_result())
+    eid = argv[1]
+    monkeypatch.setitem(runner.REGISTRY, eid, _stand_in(runner.REGISTRY[eid]))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert (tmp_path / argv[-1]).exists()
+
+
+@pytest.mark.parametrize("experiment_id", sorted(set(REGISTRY) - OBSERVABLE_EXPERIMENTS))
+def test_cli_obs_dir_refused_where_runs_are_not_observable(experiment_id, tmp_path, capsys, monkeypatch):
+    """These experiments build rigs outside an observation, so --obs-dir
+    would export nothing of them: the one gate exits 2 before running."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", experiment_id, "--quick", "--obs-dir", "D"]) == 2
+    out, err = capsys.readouterr()
+    assert "outside an observation" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_rejected_run_turns_observation_back_off(tmp_path, capsys, monkeypatch):
@@ -168,12 +183,39 @@ def test_cli_rejected_run_turns_observation_back_off(tmp_path, capsys, monkeypat
 
     monkeypatch.chdir(tmp_path)
     try:
-        assert main(["run", "table1", "--quick", "--ledger-out", "L.json"]) == 2
-        assert "--ledger-out" in capsys.readouterr().err
+        assert main(["run", "table1", "--quick", "--obs-dir", "D"]) == 2
+        assert "--obs-dir" in capsys.readouterr().err
         assert obs.config() == obs.ObsConfig()
     finally:
         obs.reset()
     assert list(tmp_path.iterdir()) == []
+
+
+def _observer_names() -> list:
+    return sorted(type(o).__name__ for o in Simulator().observers)
+
+
+@pytest.mark.parametrize("exit_code", [0, 2])
+def test_cli_checkers_are_on_for_the_command_only(exit_code, monkeypatch):
+    """--sanitize and --racecheck install their checkers for the command,
+    uninstall them however it ends, and leave the environment alone."""
+    import repro.cli as cli
+
+    seen = []
+
+    def run(*_args, **_kwargs):
+        seen.append(_observer_names())
+        if exit_code:
+            raise ValueError("rejected")
+        return fake_result()
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    before = _observer_names()
+    environ = dict(os.environ)
+    assert main(["run", "table1", "--quick", "--sanitize", "--racecheck"]) == exit_code
+    assert seen == [sorted(set(before) | {"RaceChecker", "SimSanitizer"})]
+    assert _observer_names() == before
+    assert dict(os.environ) == environ
 
 
 def test_breakdown_to_json_transposes_categories():
@@ -200,34 +242,25 @@ def test_breakdown_to_json_passthrough_for_plain_rows():
 
 
 def test_cli_run_with_observability_flags(tmp_path, capsys):
-    """End-to-end: every obs flag produces a file that validates."""
-    import json as _json
+    """End-to-end: --obs-dir writes its four files and each one validates,
+    as does the --profile-out document written next to them."""
+    from repro import obs
+    from repro.obs.__main__ import main as obs_main
 
-    from repro.obs.__main__ import check_document
-
-    trace = tmp_path / "trace.json"
-    metrics = tmp_path / "metrics.json"
-    profile = tmp_path / "profile.json"
+    obs_dir = tmp_path / "obs"
     assert main([
         "run", "ablation_limit1", "--quick",
-        "--trace", str(trace),
-        "--metrics-out", str(metrics),
-        "--sample-interval", "0.005",
-        "--profile-out", str(profile),
+        "--obs-dir", str(obs_dir),
+        "--profile-out", str(obs_dir / "profile.json"),
     ]) == 0
-    out = capsys.readouterr().out
-    assert "time-series dashboard" in out
-    for path, expected_kind in (
-        (trace, "chrome-trace"),
-        (metrics, "observation-bundle"),
-        (profile, "profile"),
-    ):
-        with open(path) as fh:
-            doc = _json.load(fh)
-        kind, problems = check_document(doc)
-        assert kind == expected_kind and problems == [], (path, kind, problems)
+    capsys.readouterr()
+    assert sorted(p.name for p in obs_dir.iterdir()) == [
+        "dashboard.txt", "observations.json", "profile.json", "run.flame", "trace.json",
+    ]
+    assert obs_main(["check", *sorted(str(p) for p in obs_dir.iterdir())]) == 0
+    kinds = capsys.readouterr().out
+    for kind in ("dashboard", "observation-bundle", "profile", "flame", "chrome-trace"):
+        assert f": {kind}: ok" in kinds, kind
     # The CLI resets the process-global config after exporting.
-    from repro import obs
-
     assert not obs.config().enabled
     assert obs.drain_completed() == []

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import OptimizationConfig
 from repro.host.configs import linux_up_config
+from repro.sim.engine import install_checker, installed_checkers, uninstall_checker
 from repro.sim.rng import SeededRng
 from repro.workloads.many import (
     ManyConnWorkload,
@@ -95,16 +96,16 @@ def test_batching_halves_events_with_bounded_timing_skew():
 def test_sanitized_many_conn_run():
     """The full scale rig — slab, batching, timer churn — under the runtime
     sanitizer's conservation and reuse-after-free audits."""
-    from repro.analysis import sanitizer as sanitizer_mod
+    from repro.analysis.sanitizer import SimSanitizer
 
-    fresh = not sanitizer_mod.is_installed()
-    handle = sanitizer_mod.install(deep_every=64) if fresh else None
+    fresh = SimSanitizer not in installed_checkers()
+    install_checker(SimSanitizer, deep_every=64)
     try:
         r = _run(n_connections=30, duration=0.03, warmup=0.015,
                  arrival_rate_hz=1000.0)
     finally:
-        if handle is not None:
-            sanitizer_mod.uninstall(handle)
+        if fresh:
+            uninstall_checker(SimSanitizer)
     assert r.transactions > 0
     assert r.allocations_saved > 0
 

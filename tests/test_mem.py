@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.sanitizer import InvariantViolation, install, uninstall
+from repro.analysis.sanitizer import InvariantViolation, SimSanitizer
 from repro.core.config import OptimizationConfig
 from repro.cpu.costmodel import CostModel
 from repro.host.configs import linux_smp_config, linux_up_config
@@ -16,7 +16,7 @@ from repro.mem.hierarchy import MemConfig, MemoryHierarchy
 from repro.mem.topology import NumaTopology
 from repro.mem.zerocopy import zcrx_item_cycles
 from repro.net.addresses import ip_from_str
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, install_checker, uninstall_checker
 from repro.sim.rng import SeededRng
 from repro.tcp.connection import TcpConfig
 from repro.tcp.source import InfiniteSource
@@ -322,18 +322,14 @@ class TestEndToEnd:
 class TestSanitizerAudits:
     @pytest.fixture(autouse=True)
     def _fresh_sanitizer_state(self):
-        from repro.analysis import sanitizer as sanitizer_mod
-
-        if sanitizer_mod.is_installed():
-            uninstall()
+        uninstall_checker(SimSanitizer)
         yield
-        if sanitizer_mod.is_installed():
-            uninstall()
+        uninstall_checker(SimSanitizer)
 
     def _run_with_corruption(self, corrupt, opt=None):
         from repro.workloads.stream import build_stream_rig
 
-        handle = install()
+        install_checker(SimSanitizer)
         try:
             cfg = dataclasses.replace(
                 linux_up_config(), n_nics=2, mem=mem_config()
@@ -345,7 +341,7 @@ class TestSanitizerAudits:
             corrupt(machine)
             sim.run(until=0.02)
         finally:
-            uninstall(handle)
+            uninstall_checker(SimSanitizer)
 
     def test_clean_mem_rig_passes(self):
         self._run_with_corruption(lambda machine: None)

@@ -11,12 +11,14 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.racecheck import RaceChecker
+from repro.analysis.sanitizer import InvariantViolation, SimSanitizer
 from repro.core.config import OptimizationConfig
 from repro.host.client import ClientHost
 from repro.host.configs import linux_smp_config
 from repro.host.machine import ReceiverMachine
 from repro.net.addresses import ip_from_str
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, install_checker, uninstall_checker
 from repro.sim.rng import SeededRng
 from repro.tcp.connection import TcpConfig
 from repro.tcp.source import InfiniteSource
@@ -185,27 +187,23 @@ def test_mq_cycles_are_conserved_across_cpus():
 
 
 def test_sanitizer_audits_mq_rig():
-    from repro.analysis.sanitizer import install, uninstall
-
-    handle = install()
+    handle = install_checker(SimSanitizer)
     try:
         r = run_stream_experiment(linux_smp_config(), OptimizationConfig.optimized(),
                                   queues=4, steering="arfs",
                                   n_connections=16, duration=0.02, warmup=0.01)
         assert r.throughput_mbps > 0
-        sanitizer = handle.sanitizers[-1]
+        sanitizer = handle.observers[-1]
         assert sanitizer.stats.deep_audits > 0
     finally:
-        uninstall(handle)
+        uninstall_checker(SimSanitizer)
 
 
 def test_sanitizer_catches_flow_requeued_without_resteer():
     """Reprogramming the indirection table under a static-RSS policy moves
     live flows without a generation bump — the same-flow-same-queue audit
     must fail the run."""
-    from repro.analysis.sanitizer import InvariantViolation, install, uninstall
-
-    handle = install()
+    install_checker(SimSanitizer)
     try:
         sim = Simulator()
         machine = ReceiverMachine(sim, fast_config(n_nics=1),
@@ -223,7 +221,7 @@ def test_sanitizer_catches_flow_requeued_without_resteer():
         with pytest.raises(InvariantViolation, match="same-flow-same-queue"):
             sim.run(until=0.04)
     finally:
-        uninstall(handle)
+        uninstall_checker(SimSanitizer)
 
 
 # ----------------------------------------------------------------------
@@ -236,12 +234,11 @@ def test_mq_repair_rig_racecheck_and_ledger_green():
     the cycle ledger still reconciles exactly with the new repair stage
     charging cycles under its own category and lifecycle stage."""
     from repro import obs
-    from repro.analysis import racecheck
     from repro.obs import runtime as obs_runtime
     from repro.workloads.stream import bind_ledger
 
     obs.configure(ledger=True)
-    handle = racecheck.install()
+    handle = install_checker(RaceChecker)
     try:
         with obs_runtime.observe("mq-repair") as o:
             sim = Simulator()
@@ -286,7 +283,7 @@ def test_mq_repair_rig_racecheck_and_ledger_green():
             assert repair.stats.frames_in == repair.stats.frames_out + repair.occupancy
 
         # No cross-CPU ownership violation anywhere in the repair path.
-        stats = [c.stats for c in handle.checkers if c.stats.accesses_noted]
+        stats = [c.stats for c in handle.observers if c.stats.accesses_noted]
         assert stats
         assert all(s.violations == 0 for s in stats)
 
@@ -297,5 +294,5 @@ def test_mq_repair_rig_racecheck_and_ledger_green():
         # Lifecycle stage "repair" nests under the ISR that ran the stage.
         assert any("repair" in key[2].split(";") for key in o.ledger.cells)
     finally:
-        racecheck.uninstall(handle)
+        uninstall_checker(RaceChecker)
         obs.reset()

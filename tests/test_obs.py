@@ -29,6 +29,7 @@ from repro.obs import (
     chrome_envelope,
     validate_chrome_trace,
 )
+from repro.obs.sampler import check_dashboard_text
 from repro.obs.trace import cpu_tid
 from repro.sim.engine import Simulator
 from repro.workloads.stream import build_stream_rig, run_stream_experiment
@@ -242,6 +243,11 @@ class TestSampler:
         assert doc["series"]["x"]["t"] == doc["series"]["x"]["t"]
         assert len(doc["series"]["x"]["v"]) == 3
         assert "x" in sampler.render_dashboard()
+        # The form ``repro run --obs-dir`` writes to dashboard.txt.
+        exported = f"== run ==\n{sampler.render_dashboard()}\n"
+        assert check_dashboard_text(exported) == []
+        assert check_dashboard_text("== run ==\nx\n")
+        assert check_dashboard_text("x\n")
 
 
 # ----------------------------------------------------------------------

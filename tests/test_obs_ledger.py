@@ -25,7 +25,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.analysis.sanitizer import InvariantViolation, install, uninstall
+from repro.analysis.sanitizer import InvariantViolation, SimSanitizer
 from repro.core.config import OptimizationConfig
 from repro.experiments.runner import run_experiment
 from repro.host.configs import linux_smp_config, linux_up_config, xen_config
@@ -33,6 +33,7 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.diff import diff_ledgers, marginal
 from repro.obs.flame import check_flame_text, collapsed_text
 from repro.obs.ledger import SCHEMA, UNIT_SCALE, UNIT_SCALE_F, check_ledger_document
+from repro.sim.engine import install_checker, uninstall_checker
 from repro.workloads.stream import bind_ledger, build_stream_rig, run_stream_experiment
 
 from tests.conftest import assert_rows_match_pin
@@ -106,7 +107,7 @@ def test_sanitizer_audits_figure7_and_zcrx_and_many_under_ledger():
     from repro.experiments.extension_zero_copy import measure_mode
     from repro.workloads.many import ManyConnWorkload, run_many_connection_experiment
 
-    install()
+    install_checker(SimSanitizer)
     try:
         obs.configure(ledger=True)
         for config_fn in (linux_up_config, linux_smp_config, xen_config):
@@ -125,11 +126,11 @@ def test_sanitizer_audits_figure7_and_zcrx_and_many_under_ledger():
         )
     finally:
         obs.reset()
-        uninstall()
+        uninstall_checker(SimSanitizer)
 
 
 def test_sanitizer_catches_tampered_ledger_cell():
-    install()
+    install_checker(SimSanitizer)
     try:
         obs.configure(ledger=True)
         with pytest.raises(InvariantViolation, match="cycle ledger"):
@@ -143,7 +144,7 @@ def test_sanitizer_catches_tampered_ledger_cell():
                 sim.run(until=0.05)
     finally:
         obs.reset()
-        uninstall()
+        uninstall_checker(SimSanitizer)
 
 
 def test_verify_reports_shadow_divergence():
@@ -162,7 +163,7 @@ def test_verify_reports_shadow_divergence():
 def _run_quick_ledgered(experiment_id: str):
     obs.configure(ledger=True)
     try:
-        ledgered = run_experiment(experiment_id, quick=True, ledger=True)
+        ledgered = run_experiment(experiment_id, quick=True, observed=True)
         done = obs.drain_completed()
     finally:
         obs.reset()
@@ -207,8 +208,8 @@ def test_stream_measured_fields_identical_with_ledger_on():
 
 
 def test_runner_rejects_ledger_on_unsupported_experiment():
-    with pytest.raises(ValueError, match="ledger"):
-        run_experiment("table1", quick=True, ledger=True)
+    with pytest.raises(ValueError, match="outside an observation"):
+        run_experiment("table1", quick=True, observed=True)
 
 
 # ----------------------------------------------------------------------

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import racecheck
 from repro.analysis.racecheck import RaceChecker, RaceReport
+from repro.analysis.sanitizer import SimSanitizer
 from repro.core.config import OptimizationConfig
 from repro.host.client import ClientHost
 from repro.host.configs import linux_smp_config
 from repro.host.machine import ReceiverMachine
 from repro.mq.costs import CrossCpuCostModel
 from repro.net.addresses import ip_from_str
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, install_checker, installed_checkers, uninstall_checker
 from repro.tcp.connection import TcpConfig
 from repro.tcp.source import InfiniteSource
 from repro.workloads.stream import run_stream_experiment
@@ -36,9 +36,9 @@ SERVER = ip_from_str("10.0.0.1")
 
 @pytest.fixture(autouse=True)
 def _fresh_racecheck_state():
-    racecheck.uninstall()
+    uninstall_checker(RaceChecker)
     yield
-    racecheck.uninstall()
+    uninstall_checker(RaceChecker)
 
 
 def build_tampered_rig(queues=2, n_conns=10, nbytes=50_000):
@@ -224,47 +224,41 @@ def _mq_machine(sim):
 
 class TestInstall:
     def test_install_uninstall_restores_classes(self):
-        handle = racecheck.install()
+        handle = install_checker(RaceChecker)
         checked = Simulator()
         machine = _mq_machine(checked)
-        assert [c.sim for c in handle.checkers] == [checked]
-        assert handle.checkers[0].machines == [machine]
-        racecheck.uninstall(handle)
-        assert not racecheck.is_installed()
-        # A simulator built after uninstall() gets no checker.
+        assert [c.sim for c in handle.observers] == [checked]
+        assert handle.observers[0].machines == [machine]
+        uninstall_checker(RaceChecker)
+        assert RaceChecker not in installed_checkers()
+        # A simulator built after uninstall_checker() gets no checker.
         _mq_machine(Simulator())
-        assert [c.sim for c in handle.checkers] == [checked]
+        assert [c.sim for c in handle.observers] == [checked]
 
     @pytest.mark.parametrize("first", ["sanitizer", "racecheck"])
     def test_out_of_order_uninstall_keeps_the_other_checker(self, first):
-        from repro.analysis import sanitizer
-
-        modules = {"sanitizer": sanitizer, "racecheck": racecheck}
+        classes = {"sanitizer": SimSanitizer, "racecheck": RaceChecker}
         second = "racecheck" if first == "sanitizer" else "sanitizer"
-
-        def observers(name, handle):
-            return handle.sanitizers if name == "sanitizer" else handle.checkers
-
-        handles = {name: modules[name].install() for name in (first, second)}
+        handles = {name: install_checker(classes[name]) for name in (first, second)}
         try:
             # Not last-in-first-out: the first-installed checker goes first.
-            modules[first].uninstall(handles[first])
-            assert not modules[first].is_installed()
-            assert modules[second].is_installed()
+            uninstall_checker(classes[first])
+            assert classes[first] not in installed_checkers()
+            assert classes[second] in installed_checkers()
             sim = Simulator()
             machine = _mq_machine(sim)
-            remaining = observers(second, handles[second])
+            remaining = handles[second].observers
             assert remaining and remaining[-1].sim is sim
             assert remaining[-1].machines == [machine]
-            assert all(o.sim is not sim for o in observers(first, handles[first]))
+            assert all(o.sim is not sim for o in handles[first].observers)
         finally:
-            for name in (first, second):
-                modules[name].uninstall(handles[name])
+            for cls in classes.values():
+                uninstall_checker(cls)
 
     def test_install_is_idempotent(self):
-        handle = racecheck.install()
-        assert racecheck.install() is handle
-        racecheck.uninstall(handle)
+        handle = install_checker(RaceChecker)
+        assert install_checker(RaceChecker) is handle
+        uninstall_checker(RaceChecker)
 
 
 # ----------------------------------------------------------------------
@@ -287,9 +281,9 @@ def _run_mq(**overrides):
 
 class TestCleanRuns:
     def test_rss_run_is_clean_and_checker_sees_cross_traffic(self):
-        handle = racecheck.install()
+        handle = install_checker(RaceChecker)
         row = _run_mq()
-        stats = [c.stats for c in handle.checkers if c.stats.accesses_noted]
+        stats = [c.stats for c in handle.observers if c.stats.accesses_noted]
         assert len(stats) == 1
         s = stats[0]
         # RSS steering guarantees cross-CPU socket traffic; every one of
@@ -306,12 +300,12 @@ class TestCleanRuns:
     # from the cycle charges before it, so a charge the checker added would
     # move the digest; an event it scheduled would move ``events_fired``.
     def _checked_wire_point(self, label):
-        handle = racecheck.install()
+        handle = install_checker(RaceChecker)
         try:
             got = run_point(label)
-            stats = [c.stats for c in handle.checkers if c.stats.accesses_noted]
+            stats = [c.stats for c in handle.observers if c.stats.accesses_noted]
         finally:
-            racecheck.uninstall(handle)
+            uninstall_checker(RaceChecker)
         assert_matches_pin(label, got)
         return stats
 
@@ -325,24 +319,22 @@ class TestCleanRuns:
         self._checked_wire_point("up/opt")
 
     def test_coexists_with_sanitizer(self):
-        from repro.analysis import sanitizer
-
-        rc_handle = racecheck.install()
-        san_handle = sanitizer.install()
+        rc_handle = install_checker(RaceChecker)
+        san_handle = install_checker(SimSanitizer)
         try:
             _run_mq(n_connections=20)
-            rc_stats = [c.stats for c in rc_handle.checkers if c.stats.accesses_noted]
-            san_stats = [s.stats for s in san_handle.sanitizers if s.stats.events_checked]
+            rc_stats = [c.stats for c in rc_handle.observers if c.stats.accesses_noted]
+            san_stats = [s.stats for s in san_handle.observers if s.stats.events_checked]
             assert rc_stats and rc_stats[0].violations == 0
             assert san_stats and san_stats[0].connection_checks > 0
         finally:
-            sanitizer.uninstall(san_handle)
-            racecheck.uninstall(rc_handle)
+            uninstall_checker(SimSanitizer)
+            uninstall_checker(RaceChecker)
 
 
 class TestTamper:
     def test_uncharged_cross_queue_access_raises(self):
-        racecheck.install()
+        install_checker(RaceChecker)
         sim, machine = build_tampered_rig()
         with pytest.raises(RaceReport) as exc:
             sim.run(until=5.0)

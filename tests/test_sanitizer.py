@@ -10,18 +10,12 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.sanitizer import (
-    InvariantViolation,
-    SimSanitizer,
-    install,
-    is_installed,
-    uninstall,
-)
+from repro.analysis.sanitizer import InvariantViolation, SimSanitizer
 from repro.core.config import OptimizationConfig
 from repro.host.configs import linux_up_config
 from repro.host.machine import ReceiverMachine
 from repro.nic.ring import RxRing
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, install_checker, installed_checkers, uninstall_checker
 from repro.tcp.state import TcpState
 from repro.workloads.stream import build_stream_rig, run_stream_experiment
 
@@ -36,13 +30,9 @@ def _fresh_sanitizer_state():
     """These tests install/detach sanitizers themselves; run them from a
     clean slate even when REPRO_SANITIZE=1 has the suite-wide fixture
     installing one first (a second hook on the same engine is refused)."""
-    from repro.analysis import sanitizer as sanitizer_mod
-
-    if sanitizer_mod.is_installed():
-        uninstall()
+    uninstall_checker(SimSanitizer)
     yield
-    if sanitizer_mod.is_installed():
-        uninstall()
+    uninstall_checker(SimSanitizer)
 
 
 # ----------------------------------------------------------------------
@@ -256,13 +246,13 @@ class TestStructuralAudits:
 # ----------------------------------------------------------------------
 class TestCleanRuns:
     def test_optimized_stream_run_is_clean_and_covered(self):
-        handle = install()
+        handle = install_checker(SimSanitizer)
         try:
             run_stream_experiment(
                 fast_config(), OptimizationConfig.optimized(),
                 duration=0.03, warmup=0.01,
             )
-            san = handle.sanitizers[-1]
+            san = handle.observers[-1]
             # Every invariant class actually exercised, not just not-failing.
             assert san.stats.events_checked > 1000
             assert san.stats.connection_checks > 0
@@ -271,38 +261,40 @@ class TestCleanRuns:
             assert san.stats.expanded_acks_verified > 0
             assert san.stats.deep_audits > 0
         finally:
-            uninstall(handle)
+            uninstall_checker(SimSanitizer)
 
     def test_baseline_stream_run_is_clean(self):
-        handle = install()
+        handle = install_checker(SimSanitizer)
         try:
             run_stream_experiment(
                 fast_config(), OptimizationConfig.baseline(),
                 duration=0.03, warmup=0.01,
             )
-            assert handle.sanitizers[-1].stats.connection_checks > 0
+            assert handle.observers[-1].stats.connection_checks > 0
         finally:
-            uninstall(handle)
+            uninstall_checker(SimSanitizer)
 
     def test_install_uninstall_restores_classes(self):
-        handle = install()
-        assert is_installed()
+        handle = install_checker(SimSanitizer)
+        assert SimSanitizer in installed_checkers()
         sanitized = Simulator()
         machine = ReceiverMachine(sanitized, fast_config(), OptimizationConfig.baseline())
-        assert [s.sim for s in handle.sanitizers] == [sanitized]
-        assert handle.sanitizers[0].machines == [machine]
-        uninstall(handle)
-        assert not is_installed()
-        # A simulator built after uninstall() gets no sanitizer.
+        assert [s.sim for s in handle.observers] == [sanitized]
+        assert handle.observers[0].machines == [machine]
+        uninstall_checker(SimSanitizer)
+        assert SimSanitizer not in installed_checkers()
+        # A simulator built after uninstall_checker() gets no sanitizer.
         ReceiverMachine(Simulator(), fast_config(), OptimizationConfig.baseline())
-        assert [s.sim for s in handle.sanitizers] == [sanitized]
+        assert [s.sim for s in handle.observers] == [sanitized]
 
     def test_install_is_idempotent(self):
-        handle = install()
+        handle = install_checker(SimSanitizer, deep_every=7)
         try:
-            assert install() is handle
+            assert install_checker(SimSanitizer) is handle
+            assert installed_checkers()[SimSanitizer] == {"deep_every": 7}
+            assert Simulator().observers[-1].deep_every == 7
         finally:
-            uninstall(handle)
+            uninstall_checker(SimSanitizer)
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +303,7 @@ class TestCleanRuns:
 class TestBrokenConnectionEndToEnd:
     def _run_with_corruption(self, corrupt):
         """Run a real rig; apply ``corrupt(machine)`` mid-run."""
-        handle = install()
+        handle = install_checker(SimSanitizer)
         try:
             sim, machine, clients, senders = build_stream_rig(
                 fast_config(), OptimizationConfig.optimized()
@@ -320,7 +312,7 @@ class TestBrokenConnectionEndToEnd:
             corrupt(machine)
             sim.run(until=0.02)
         finally:
-            uninstall(handle)
+            uninstall_checker(SimSanitizer)
 
     def test_ack_state_corruption_caught_in_real_run(self):
         def corrupt(machine):
@@ -369,7 +361,7 @@ class TestPacketStructureChecks:
         skb: once freed, its head and fragments go back to the packet slab,
         which re-stamps them for other flows.
         """
-        handle = install()
+        handle = install_checker(SimSanitizer)
         captured = []
         try:
             sim, machine, clients, senders = build_stream_rig(
@@ -386,11 +378,11 @@ class TestPacketStructureChecks:
                 return original(skb)
 
             aggregator.deliver = capturing
-            sanitizer = handle.sanitizers[-1]
+            sanitizer = handle.observers[-1]
             with pytest.raises(_Captured):
                 sim.run(until=0.02)
         finally:
-            uninstall(handle)
+            uninstall_checker(SimSanitizer)
         skb = captured[0]
         assert not skb.head._slab_free
         assert not any(frag._slab_free for frag in skb.frags)
@@ -416,14 +408,14 @@ class TestPacketStructureChecks:
 
     def test_template_checksum_corruption_detected(self):
         """A template whose head checksum is wrong fails RFC 1624 verification."""
-        handle = install()
+        handle = install_checker(SimSanitizer)
         try:
             sim, machine, clients, senders = build_stream_rig(
                 fast_config(), OptimizationConfig.optimized()
             )
             driver = machine.drivers[0]
             sim.run(until=0.01)  # sanitizer wraps tx_template
-            sanitizer = handle.sanitizers[-1]
+            sanitizer = handle.observers[-1]
 
             captured = []
             wrapped = driver.tx_template  # sanitizer's checked wrapper
@@ -440,7 +432,7 @@ class TestPacketStructureChecks:
                 sim.run(until=0.05)
             assert captured, "no template ACK passed through the driver"
         finally:
-            uninstall(handle)
+            uninstall_checker(SimSanitizer)
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +443,7 @@ class TestFaultInvariantTampering:
     matching state is tampered with mid-run on a real rig."""
 
     def _run_with_corruption(self, corrupt, opt=None):
-        handle = install()
+        handle = install_checker(SimSanitizer)
         try:
             sim, machine, clients, senders = build_stream_rig(
                 fast_config(), opt or OptimizationConfig.optimized()
@@ -460,7 +452,7 @@ class TestFaultInvariantTampering:
             corrupt(machine)
             sim.run(until=0.02)
         finally:
-            uninstall(handle)
+            uninstall_checker(SimSanitizer)
 
     def test_link_frame_conservation_tamper_caught(self):
         def corrupt(machine):
@@ -646,7 +638,7 @@ class TestRepairInvariantTampering:
             fire(sim, 4)
 
     def test_frame_conservation_tamper_caught_end_to_end(self):
-        handle = install()
+        handle = install_checker(SimSanitizer)
         try:
             sim, machine, clients, senders = build_stream_rig(
                 fast_config(), OptimizationConfig.resilient(repair=True)
@@ -656,4 +648,4 @@ class TestRepairInvariantTampering:
             with pytest.raises(InvariantViolation, match="conservation broken"):
                 sim.run(until=0.02)
         finally:
-            uninstall(handle)
+            uninstall_checker(SimSanitizer)
