@@ -108,6 +108,10 @@ def test_cli_report_quick(tmp_path, capsys, monkeypatch):
 _RETIRED_OBS_FLAGS = ("--trace", "--metrics-out", "--sample-interval", "--ledger-out", "--flame-out")
 
 
+def _must_not_run(*_args, **_kwargs):
+    raise AssertionError("an experiment ran")
+
+
 def _stand_in(fn):
     """A fake experiment with ``fn``'s signature, so the runner's gates see
     the real parameters."""
@@ -137,14 +141,31 @@ def test_cli_all_rejects_ledger_flags(flag):
     assert exc.value.code == 2
 
 
-def test_cli_obs_flag_with_jobs_exits_before_running(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("flag, value", [
+    ("--trace", "t.json"),
+    ("--metrics-out", "m.json"),
+    ("--sample-interval", "0.005"),
+    ("--ledger-out", "l.json"),
+    ("--flame-out", "f.flame"),
+    ("--obs-dir", "D"),
+])
+def test_cli_obs_flag_with_jobs_exits_before_running(flag, value, tmp_path, capsys, monkeypatch):
     """The collectors never see sweep points sent to worker processes, so
     --obs-dir with --jobs above 1 on a sweep experiment exits 2, naming both
-    flags, before anything runs or is written."""
+    flags, before anything runs or is written.  The five export flags it
+    replaced are refused by the parser, before the gate is reached."""
+    import repro.experiments.runner as runner
+
+    real = runner.REGISTRY["figure11"]
+    monkeypatch.setitem(runner.REGISTRY, "figure11", functools.wraps(real)(lambda **_k: _must_not_run()))
     monkeypatch.chdir(tmp_path)
-    assert main(["run", "figure11", "--quick", "--jobs", "2", "--obs-dir", "D"]) == 2
+    try:
+        code = main(["run", "figure11", "--quick", "--jobs", "2", flag, value])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     out, err = capsys.readouterr()
-    assert "--obs-dir" in err and "--jobs 2" in err
+    assert flag in err and ("--jobs 2" in err) == (flag == "--obs-dir")
     assert out == ""
     assert list(tmp_path.iterdir()) == []
 
