@@ -89,7 +89,8 @@ class AggregationStats:
 
     def note_bypass(self, reason: BypassReason) -> None:
         self.bypassed += 1
-        self.bypass_reasons[reason.value] = self.bypass_reasons.get(reason.value, 0) + 1
+        key = reason.value  # an enum property: read once per packet
+        self.bypass_reasons[key] = self.bypass_reasons.get(key, 0) + 1
 
     @property
     def host_packets_delivered(self) -> int:

@@ -30,6 +30,13 @@ class CostModel:
 
     cache: CacheModel = field(default_factory=CacheModel)
     prefetch: PrefetchMode = PrefetchMode.FULL
+    #: ``cache.sequential_miss_cycles[prefetch]``, resolved at construction:
+    #: indexing by the enum member on every copy runs ``Enum.__hash__`` in
+    #: Python.  Change ``cache`` or ``prefetch`` with ``dataclasses.replace``.
+    line_miss_cycles: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.line_miss_cycles = self.cache.sequential_miss_cycles[self.prefetch]
 
     # ---------------- driver (category: driver) ----------------
     #: Per received network packet: descriptor handling, DMA unmap, ring refill.
@@ -154,9 +161,14 @@ class CostModel:
     # derived per-byte costs
     # ------------------------------------------------------------------
     def copy_cycles(self, nbytes: int) -> float:
-        """Cycles to copy ``nbytes`` of cold packet data to user space."""
-        return self.cache.sequential_copy_cycles(nbytes, self.prefetch)
+        """Cycles to copy ``nbytes`` of cold packet data to user space:
+        ``cache.sequential_copy_cycles(nbytes, prefetch)``, term for term."""
+        cache = self.cache
+        return cache.lines(nbytes) * self.line_miss_cycles + nbytes * cache.copy_cycles_per_byte
 
     def checksum_cycles(self, nbytes: int) -> float:
-        """Cycles to software-verify a TCP checksum over ``nbytes``."""
-        return self.cache.sequential_checksum_cycles(nbytes, self.prefetch)
+        """Cycles to software-verify a TCP checksum over ``nbytes``:
+        ``cache.sequential_checksum_cycles(nbytes, prefetch)``, term for
+        term."""
+        cache = self.cache
+        return cache.lines(nbytes) * self.line_miss_cycles + nbytes * cache.checksum_cycles_per_byte

@@ -37,8 +37,10 @@ def _serve_once(tso: bool, response_size: int, duration: float):
     config = dataclasses.replace(linux_up_config(), n_nics=1, tso=tso)
     machine = make_receiver(sim, config, OptimizationConfig.baseline(), ip=ip_from_str("10.0.0.1"))
 
+    response = b"r" * response_size
+
     def on_accept(server_sock) -> None:
-        server_sock.on_data_cb = lambda s, payload, length: s.send(b"r" * response_size)
+        server_sock.on_data_cb = lambda s, payload, length: s.send(response)
 
     machine.listen(5001, on_accept)
     client = ClientHost(sim, ip_from_str("10.0.1.1"))

@@ -62,8 +62,11 @@ class ClientHost:
         dst_port: int,
         config: Optional[TcpConfig] = None,
         src_port: Optional[int] = None,
+        app: Callable[[TcpConnection], TcpSocket] = TcpSocket,
     ) -> TcpSocket:
-        """Active open toward (dst_ip, dst_port); returns the app socket."""
+        """Active open toward (dst_ip, dst_port); returns the app socket,
+        ``app(conn)`` (a plain :class:`TcpSocket` unless a subclass that
+        overrides its callbacks is given)."""
         key = FlowKey(self.ip, src_port or self.allocate_port(), dst_ip, dst_port)
         conn = TcpConnection(
             key=key,
@@ -72,12 +75,11 @@ class ClientHost:
             timers=self.sim,
             transport=self,
             iss=self._next_iss(),
-            name=f"{self.name}:{key.src_port}",
         )
         self.connections[key] = conn
         if self.packet_slab is not None:
             conn._template.slab = self.packet_slab
-        sock = TcpSocket(conn)
+        sock = app(conn)
         conn.connect()
         return sock
 
@@ -115,7 +117,6 @@ class ClientHost:
                 timers=self.sim,
                 transport=self,
                 iss=self._next_iss(),
-                name=f"{self.name}:accept:{key.src_port}",
             )
             conn.passive_open()
             self.connections[key] = conn

@@ -51,6 +51,7 @@ from repro.obs.runtime import active_ledger, active_tracer
 from repro.obs.trace import Stage, cpu_tid
 from repro.sim.engine import Simulator
 from repro.tcp.connection import AckEvent, TcpConfig, TcpConnection
+from repro.tcp.source import ByteSource
 
 #: Bytes one recv() syscall consumes (netperf-style 16 KiB reads).
 RECV_CHUNK = 16384
@@ -114,7 +115,9 @@ class KernelSocket:
     Received data sits in ``pending`` (owned by sk_buffs conceptually) until
     the end-of-softirq application drain copies it to user space — at which
     point the kernel charges wakeup/syscall/copy cycles and invokes the
-    application callback.
+    application callback.  ``pending`` and ``pending_items`` are None while
+    nothing waits: the first delivery creates them and the drain drops
+    them, so an idle socket (most of a many-connection rig's) holds no list.
     """
 
     __slots__ = (
@@ -127,12 +130,12 @@ class KernelSocket:
         self.kernel = kernel
         self.conn = conn
         conn.app = self
-        self.pending: List[Tuple[Optional[bytes], int]] = []
+        self.pending: Optional[List[Tuple[Optional[bytes], int]]] = None
         self.pending_bytes = 0
         #: (bytes, extra_fragments, meminfo) per delivered skb — drives
         #: copy/remap costs.  ``meminfo`` is the memory hierarchy's source
         #: line classification, None when the hierarchy is off.
-        self.pending_items: List[Tuple[int, int, Optional[tuple]]] = []
+        self.pending_items: Optional[List[Tuple[int, int, Optional[tuple]]]] = None
         #: Sum of the bytes in ``pending_items``.
         self.pending_item_bytes = 0
         #: CPU the application runs on (pinned by the kernel at accept).
@@ -155,7 +158,11 @@ class KernelSocket:
             self.on_established_cb(self)
 
     def on_data(self, conn: TcpConnection, payload: Optional[bytes], length: int) -> None:
-        self.pending.append((payload, length))
+        pending = self.pending
+        if pending is None:
+            self.pending = [(payload, length)]
+        else:
+            pending.append((payload, length))
         self.pending_bytes += length
 
     def on_remote_close(self, conn: TcpConnection) -> None:
@@ -167,8 +174,6 @@ class KernelSocket:
     # ---- application side ----
     def send(self, data: bytes) -> None:
         """Application write: queues data and kicks the (costed) tx path."""
-        from repro.tcp.source import ByteSource
-
         if self.conn.source is None:
             self.conn.attach_source(ByteSource())
         self.conn.source.write(data)
@@ -446,7 +451,11 @@ class Kernel:
                         consume(mem.remote_skb_touch_cycles(), Category.BUFFER)
                 else:
                     meminfo = None
-                sock.pending_items.append((new_bytes, nr_frags, meminfo))
+                items = sock.pending_items
+                if items is None:
+                    sock.pending_items = [(new_bytes, nr_frags, meminfo)]
+                else:
+                    items.append((new_bytes, nr_frags, meminfo))
                 sock.pending_item_bytes = sock.pending_bytes
             if not sock.dirty:
                 sock.dirty = True
@@ -491,7 +500,6 @@ class Kernel:
                 timers=self.timers,
                 transport=self,
                 iss=self._next_iss(),
-                name=f"{self.name}:accept:{key.dst_port}",
             )
             conn.passive_open()
             if self.packet_slab is not None:
@@ -577,9 +585,10 @@ class Kernel:
                 consume = self.cpu.consume
                 syscalls = max(1, math.ceil(nbytes / RECV_CHUNK))
                 consume(costs.syscall * syscalls, Category.MISC)
+                items = sock.pending_items or ()
                 if self.opt.zero_copy:
                     zc = self.zcrx
-                    for item_bytes, extra_frags, meminfo in sock.pending_items:
+                    for item_bytes, extra_frags, meminfo in items:
                         cycles, pages, cold = zcrx_item_cycles(costs, item_bytes, meminfo)
                         consume(cycles, Category.PER_BYTE)
                         zc.skbs += 1
@@ -587,7 +596,7 @@ class Kernel:
                         zc.cold_pages += cold
                 else:
                     mem = self.mem
-                    for item_bytes, extra_frags, meminfo in sock.pending_items:
+                    for item_bytes, extra_frags, meminfo in items:
                         if meminfo is None:
                             cycles = costs.copy_cycles(item_bytes)
                         else:
@@ -599,8 +608,8 @@ class Kernel:
                             Category.PER_BYTE,
                         )
                         self.copy_charged_items += 1
-                pending, sock.pending = sock.pending, []
-                sock.pending_items = []
+                pending, sock.pending = sock.pending, None
+                sock.pending_items = None
                 sock.pending_item_bytes = 0
                 sock.pending_bytes = 0
                 sock.bytes_received += nbytes

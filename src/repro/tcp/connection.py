@@ -161,7 +161,7 @@ class TcpConnection:
     # Past 30 attributes CPython gives every instance its own ``__dict__``;
     # a scale run holds tens of thousands of endpoints.
     __slots__ = (
-        "key", "config", "clock", "timers", "transport", "app", "name", "stats",
+        "key", "config", "clock", "timers", "transport", "app", "_name", "stats",
         "_template", "state",
         # send side
         "iss", "snd_una", "snd_nxt", "snd_wnd", "snd_wl1", "snd_wl2",
@@ -192,7 +192,7 @@ class TcpConnection:
         self.timers = timers
         self.transport = transport
         self.app = app
-        self.name = name or repr(key)
+        self._name = name or None
         self.stats = TcpConnStats()
         # Outbound header template: every frame this endpoint emits carries
         # this connection's 4-tuple.
@@ -249,6 +249,20 @@ class TcpConnection:
     # ==================================================================
     # public API
     # ==================================================================
+    @property
+    def name(self) -> str:
+        """The name given at construction; without one, the transport
+        host's name and the local and remote ports, formatted when read
+        (only violation messages and ``repr`` read it, and a scale rig
+        holds tens of thousands of endpoints)."""
+        name = self._name
+        if name is not None:
+            return name
+        host = getattr(self.transport, "name", None)
+        if host is None:
+            return repr(self.key)
+        return f"{host}:{self.key.src_port}-{self.key.dst_port}"
+
     def attach_source(self, source) -> None:
         """Attach the application's outbound data source."""
         self.source = source

@@ -14,7 +14,13 @@ from repro.tcp.source import ByteSource
 
 
 class TcpSocket:
-    """Application endpoint: buffers received data, surfaces callbacks."""
+    """Application endpoint: buffers received data, surfaces callbacks.
+
+    An application either sets ``on_data_cb``/``on_established_cb`` or, to
+    be one object with its connection's socket, subclasses this and
+    overrides ``on_data``/``on_established`` (``ClientHost.connect(app=)``
+    builds the subclass).
+    """
 
     __slots__ = (
         "conn", "received", "bytes_received", "established", "remote_closed",

@@ -12,15 +12,28 @@ integrity: byte at absolute stream offset ``i`` is ``(i * 31 + seed) & 0xFF``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from typing import Optional
+from typing import List, Optional, Tuple
 
 
 class ByteSource:
-    """A finite send buffer fed by explicit ``write`` calls."""
+    """A finite send buffer fed by explicit ``write`` calls.
+
+    The buffer shares the writer's bytes instead of copying them, the way
+    ``MSG_ZEROCOPY`` pins the application's pages: a ``bytes`` write is
+    held as the caller's object (it is immutable), and only a mutable
+    ``bytearray`` or ``memoryview`` is copied, once.  An RPC server that
+    sends one response object to every client buffers a reference per
+    write, and a length-only connection never reads the bytes at all.
+    """
+
+    __slots__ = ("_entries", "_base", "closed")
 
     def __init__(self) -> None:
-        self._chunks: bytearray = bytearray()
+        #: ``(end, chunk)`` per written object still (partly) buffered,
+        #: oldest first; ``end`` is the absolute stream offset just past it.
+        self._entries: List[Tuple[int, bytes]] = []
         #: Absolute stream offset of the first byte still buffered.
         self._base = 0
         self.closed = False
@@ -28,31 +41,63 @@ class ByteSource:
     def write(self, data: bytes) -> None:
         if self.closed:
             raise RuntimeError("write after close")
-        self._chunks.extend(data)
+        if not isinstance(data, bytes):
+            data = bytes(data)
+        if data:
+            entries = self._entries
+            end = entries[-1][0] if entries else self._base
+            entries.append((end + len(data), data))
 
     def close(self) -> None:
         self.closed = True
 
     def available(self, offset: int) -> int:
         """Bytes available at absolute stream ``offset`` onward."""
-        return max(0, self._base + len(self._chunks) - offset)
+        entries = self._entries
+        return max(0, (entries[-1][0] if entries else self._base) - offset)
 
     def read(self, offset: int, n: int) -> bytes:
-        """Bytes at [offset, offset+n); the range must be buffered."""
-        start = offset - self._base
-        if start < 0:
+        """Bytes at [offset, offset+n); the range must be buffered.
+
+        Costs the chunks the range touches, not the chunks buffered: the
+        first one is found by bisection.
+        """
+        if offset < self._base:
             raise ValueError("offset before retained data")
-        data = bytes(self._chunks[start : start + n])
-        if len(data) < n:
+        if n <= 0:
+            return b""
+        entries = self._entries
+        if not entries or offset + n > entries[-1][0]:
             raise ValueError("read past buffered data")
-        return data
+        i = _first_ending_after(entries, offset)
+        end, chunk = entries[i]
+        lo = offset - (end - len(chunk))
+        if offset + n <= end:
+            return chunk[lo:lo + n]
+        parts = [chunk[lo:]]
+        need = n - len(parts[0])
+        while need > 0:
+            i += 1
+            chunk = entries[i][1]
+            parts.append(chunk[:need])
+            need -= len(chunk)
+        return b"".join(parts)
 
     def release(self, offset: int) -> None:
-        """Drop buffered bytes below absolute ``offset`` (they were ACKed)."""
-        drop = offset - self._base
-        if drop > 0:
-            del self._chunks[:drop]
+        """Drop buffered bytes below absolute ``offset`` (they were ACKed):
+        every chunk that ends at or below it is let go."""
+        if offset > self._base:
+            del self._entries[:_first_ending_after(self._entries, offset)]
             self._base = offset
+
+
+def _first_ending_after(entries: List[Tuple[int, bytes]], offset: int) -> int:
+    """Index of the first ``(end, chunk)`` entry with ``end > offset``.
+
+    The 1-tuple key sorts before every entry whose end equals it, so the
+    bisection never compares chunks (ends are distinct: no chunk is empty).
+    """
+    return bisect_left(entries, (offset + 1,))
 
 
 class InfiniteSource:

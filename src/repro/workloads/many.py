@@ -20,6 +20,12 @@ Everything is driven by :class:`~repro.sim.rng.SeededRng` streams derived
 from one root seed — two runs with the same workload config are identical
 event-for-event.
 
+An endpoint holds only what its connection uses.  A mouse is its
+connection's socket (a :class:`~repro.tcp.socket.TcpSocket` subclass), a
+server connection's responder is one slotted object, and every request
+and response is one shared object that send buffers hold by reference
+(:class:`~repro.tcp.source.ByteSource` copies no ``bytes`` write).
+
 Scale-rig engine features: links opt into batched delivery
 (``batch_window_s``), the machines' packet slab recycles the per-segment
 allocations, and the event heap's compaction keeps the per-connection
@@ -40,6 +46,7 @@ from repro.host.configs import OptimizationConfig, SystemConfig
 from repro.net.addresses import ip_from_str
 from repro.sim.rng import SeededRng
 from repro.tcp.connection import TcpConfig
+from repro.tcp.socket import TcpSocket
 from repro.tcp.source import InfiniteSource
 from repro.workloads.stream import make_receiver
 
@@ -96,8 +103,14 @@ class ManyConnResult:
     allocations_saved: int
 
 
-class _MiceApp:
-    """Client side of one short-RPC connection.
+class _MiceApp(TcpSocket):
+    """Client side of one short-RPC connection, as that connection's socket.
+
+    The mouse overrides the socket's ``on_established``/``on_data`` instead
+    of hanging bound-method callbacks on a socket of its own: one object per
+    connection.  It counts response bytes and keeps none of them (a
+    length-only mouse reads nothing), and every request it sends is the
+    driver's one request object, which its send buffer holds by reference.
 
     ``transactions_limit`` is None for resident mice (loop forever) or a
     count for churned connections, which close afterwards.  The mouse's
@@ -107,30 +120,28 @@ class _MiceApp:
     stream, so every draw is the same whenever it is made.
     """
 
-    __slots__ = (
-        "driver", "sock", "index", "rng", "transactions", "transactions_limit",
-        "_received",
-    )
+    __slots__ = ("driver", "index", "rng", "transactions", "transactions_limit", "_received")
 
-    def __init__(self, driver: "ManyConnectionDriver", sock, index: int,
+    def __init__(self, conn, driver: "ManyConnectionDriver", index: int,
                  transactions_limit: Optional[int] = None):
+        super().__init__(conn)
         self.driver = driver
-        self.sock = sock
         self.index = index
         self.rng: Optional[SeededRng] = None
         self.transactions = 0
         self.transactions_limit = transactions_limit
         self._received = 0
-        sock.on_established_cb = self._on_established
-        sock.on_data_cb = self._on_response
 
-    def _on_established(self, sock) -> None:
+    def on_established(self, conn) -> None:
+        self.established = True
         self._send_request()
 
     def _send_request(self) -> None:
-        self.sock.send(b"q" * self.driver.wl.rpc_request_bytes)
+        self.send(self.driver.request)
 
-    def _on_response(self, sock, payload, length) -> None:
+    def on_data(self, conn, payload, length) -> None:
+        self.bytes_received += length
+        conn.mark_read(length)  # consumed at once, as TcpSocket.on_data does
         driver = self.driver
         self._received += length
         if self._received < driver.wl.rpc_response_bytes:
@@ -139,14 +150,16 @@ class _MiceApp:
         self.transactions += 1
         limit = self.transactions_limit
         if limit is not None and self.transactions >= limit:
-            self.sock.close()
+            self.close()
             driver._on_closed(self)
             return
         rng = self.rng
         if rng is None:
             rng = self.rng = driver.rng.derive(f"mouse{self.index}")
         think = rng.expovariate(1.0 / driver.wl.rpc_think_mean_s)
-        driver.sim.post(think, self._send_request)
+        # The function and its mouse, not a bound method: nothing the event
+        # heap holds is a method of a mouse.
+        driver.sim.post(think, _MiceApp._send_request, self)
 
 
 class ManyConnectionDriver:
@@ -160,6 +173,8 @@ class ManyConnectionDriver:
         self.rng = SeededRng(wl.seed, "many")
         #: Shared by every connection the population opens.
         self._tcp_config = TcpConfig(mss=machine.config.mss)
+        #: The one request object every mouse sends.
+        self.request = b"q" * wl.rpc_request_bytes
         self.mice: List[_MiceApp] = []
         self.elephants = []
         self.connections_opened = 0
@@ -196,8 +211,11 @@ class ManyConnectionDriver:
 
     def _open_mouse(self, index: int, limit: Optional[int] = None) -> None:
         client = self._pick_client()
-        sock = client.connect(self.machine.ip, RPC_PORT, config=self._tcp_config)
-        self.mice.append(_MiceApp(self, sock, index, transactions_limit=limit))
+        mouse = client.connect(
+            self.machine.ip, RPC_PORT, config=self._tcp_config,
+            app=lambda conn: _MiceApp(conn, self, index, limit),
+        )
+        self.mice.append(mouse)
         self.connections_opened += 1
 
     def _on_closed(self, app: _MiceApp) -> None:
@@ -248,21 +266,36 @@ def build_many_connection_rig(
     return sim, machine, clients, driver
 
 
+class _RpcResponder:
+    """Server side of one RPC connection: answers each complete request.
+
+    The accepted socket's ``on_data_cb`` is this one slotted object, not a
+    closure with a cell and a state dict; every response it sends is the
+    rig's one response object.
+    """
+
+    __slots__ = ("request_bytes", "response", "received")
+
+    def __init__(self, request_bytes: int, response: bytes):
+        self.request_bytes = request_bytes
+        self.response = response
+        self.received = 0
+
+    def __call__(self, sock, payload, length) -> None:
+        self.received += length
+        while self.received >= self.request_bytes:
+            self.received -= self.request_bytes
+            sock.send(self.response)
+
+
 def _rpc_server(wl: ManyConnWorkload):
-    """Server-side accept hook: answer each complete request."""
+    """Server-side accept hook: a responder per accepted socket, all
+    sending one shared response object."""
     request_bytes = wl.rpc_request_bytes
     response = b"r" * wl.rpc_response_bytes
 
     def on_accept(server_sock) -> None:
-        state = {"received": 0}
-
-        def on_data(sock, payload, length) -> None:
-            state["received"] += length
-            while state["received"] >= request_bytes:
-                state["received"] -= request_bytes
-                sock.send(response)
-
-        server_sock.on_data_cb = on_data
+        server_sock.on_data_cb = _RpcResponder(request_bytes, response)
 
     return on_accept
 

@@ -34,7 +34,8 @@ class _RrClientApp:
     def __init__(self, sim: Simulator, sock, request_size: int, overhead_s: float):
         self.sim = sim
         self.sock = sock
-        self.request_size = request_size
+        #: The one request object every transaction sends.
+        self.request = b"q" * request_size
         self.overhead_s = overhead_s
         self.transactions = 0
         self.rtt_samples: List[float] = []
@@ -44,7 +45,7 @@ class _RrClientApp:
 
     def _send_request(self) -> None:
         self._sent_at = self.sim.now
-        self.sock.send(b"q" * self.request_size)
+        self.sock.send(self.request)
 
     def _on_response(self, sock, payload, length) -> None:
         self.transactions += 1
@@ -65,8 +66,10 @@ def run_rr_experiment(
     sim = Simulator()
     machine = make_receiver(sim, config, opt, ip=ip_from_str("10.0.0.1"))
 
+    response = b"r" * response_size
+
     def on_accept(server_sock) -> None:
-        server_sock.on_data_cb = lambda s, payload, length: s.send(b"r" * response_size)
+        server_sock.on_data_cb = lambda s, payload, length: s.send(response)
 
     machine.listen(SERVER_PORT, on_accept)
 

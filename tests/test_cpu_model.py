@@ -56,6 +56,20 @@ def test_cost_model_copy_uses_configured_prefetch():
     assert slow.copy_cycles(1448) > fast.copy_cycles(1448)
 
 
+@pytest.mark.parametrize("mode", list(PrefetchMode))
+def test_cost_model_resolves_the_cache_model_exactly(mode):
+    """The cost model resolves its mode's miss cost once; every charge is
+    still the cache model's to the last bit, also after ``replace``."""
+    import dataclasses
+
+    costs = dataclasses.replace(CostModel(), prefetch=mode)
+    cache = costs.cache
+    assert costs.line_miss_cycles == cache.sequential_miss_cycles[mode]
+    for nbytes in (0, 1, 63, 64, 65, 1448, 2896, 65536, 100_003):
+        assert costs.copy_cycles(nbytes) == cache.sequential_copy_cycles(nbytes, mode)
+        assert costs.checksum_cycles(nbytes) == cache.sequential_checksum_cycles(nbytes, mode)
+
+
 def test_baseline_up_calibration_identity():
     """The per-packet constants must sum to the Figure 3 calibration
     targets (documented in DESIGN.md): a drift here silently decalibrates

@@ -10,6 +10,7 @@ from repro.host.machine import ReceiverMachine
 from repro.net.addresses import ip_from_str
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
+from repro.tcp.connection import TcpConnection
 from repro.tcp.socket import TcpSocket
 
 from tests.conftest import fast_config
@@ -31,6 +32,50 @@ def test_client_hosts_talk_over_links(sim):
     sim.run(until=0.1)
     assert sock.established
     assert len(accepted) == 1
+
+
+def test_connect_opens_the_given_socket_subclass(sim):
+    """``connect(app=...)`` builds the connection's socket: a subclass that
+    overrides a callback is the connection's app, with no wrapper."""
+    a = ClientHost(sim, ip_from_str("10.0.0.10"), "a")
+    b = ClientHost(sim, ip_from_str("10.0.0.20"), "b")
+    a.attach_tx(Link(sim, 1e9, 10e-6, sink=b.rx))
+    b.attach_tx(Link(sim, 1e9, 10e-6, sink=a.rx))
+    b.listen(80, TcpSocket)
+
+    class Greeter(TcpSocket):
+        __slots__ = ()
+
+        def on_established(self, conn):
+            super().on_established(conn)
+            self.send(b"hi")
+
+    sock = a.connect(b.ip, 80, app=Greeter)
+    sim.run(until=0.1)
+    assert type(sock) is Greeter and sock.conn.app is sock
+    (server,) = b.connections.values()
+    assert server.app.bytes_received == 2
+
+
+def test_connection_names_are_formatted_on_demand(sim):
+    """Unnamed endpoints store no name: it is built from the host's name and
+    the ports when read.  An explicit name is kept as given."""
+    a = ClientHost(sim, ip_from_str("10.0.0.10"), "a")
+    b = ClientHost(sim, ip_from_str("10.0.0.20"), "b")
+    a.attach_tx(Link(sim, 1e9, 10e-6, sink=b.rx))
+    b.attach_tx(Link(sim, 1e9, 10e-6, sink=a.rx))
+    b.listen(80, TcpSocket)
+    sock = a.connect(b.ip, 80, src_port=4000)
+    sim.run(until=0.1)
+    (server,) = b.connections.values()
+    assert sock.conn._name is None and server._name is None
+    assert sock.conn.name == "a:4000-80"
+    assert server.name == "b:80-4000"
+    assert "a:4000-80" in repr(sock.conn)
+    named = TcpConnection(sock.conn.key, sock.conn.config, lambda: sim.now, sim, a, name="A")
+    assert named.name == "A"
+    keyed = TcpConnection(sock.conn.key, sock.conn.config, lambda: sim.now, sim, object())
+    assert keyed.name == repr(sock.conn.key)
 
 
 def test_client_ephemeral_ports_unique(sim):

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import types
 from collections import deque
 
 import pytest
@@ -132,14 +133,17 @@ def objects_per_endpoint(rig, objects_before: int) -> float:
 
 
 #: GC-tracked objects per connection endpoint on the 1k rig at 30 ms,
-#: measured: 28.8 on CPython 3.9 and 3.10, 27.6 on 3.11, 3.12 and 3.13
+#: measured: 22.0 on CPython 3.9 and 3.10, 21.9 on 3.11, 3.12 and 3.13
 #: (before 3.11 every instance that is not slotted has a dict of its own).
 #: The bound is the highest plus about 15% headroom.  Before each mouse
+#: became its own socket, RPC responders one slotted object, idle kernel
+#: sockets list-free and send buffers a list of the writer's objects: 24.9
+#: on 3.9 and 3.10, 24.8 on 3.11, 3.12 and 3.13.  Before each mouse
 #: derived its generator on first use and endpoints dropped their deque
 #: and empty lists: 30.5 on 3.9 and 3.10, 29.3 on 3.11, 3.12 and 3.13.
 #: Before connection state was slotted and shared: 43.4 on 3.10, 40.2 on
 #: 3.11 and 3.12.
-OBJECTS_PER_ENDPOINT_BOUND = 33.0
+OBJECTS_PER_ENDPOINT_BOUND = 25.3
 
 
 def test_connection_state_footprint():
@@ -173,7 +177,7 @@ def test_connection_state_footprint():
     for conn in (server[0], client[0]):
         for obj in (conn, conn.stats, conn.reno, conn.rtt):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
-    assert not hasattr(driver.mice[0].sock, "__dict__")  # TcpSocket
+    assert not hasattr(driver.mice[0], "__dict__")  # the mouse is its TcpSocket
     assert not hasattr(next(iter(machine.kernel.sockets.values())), "__dict__")
     for a, b in (server[:2], client[:2]):
         assert a.config is b.config
@@ -190,11 +194,13 @@ LEAN = dict(n_connections=1000, stagger_s=0.002)
 LEAN_END_S = 0.003
 
 #: tracemalloc bytes per connection endpoint on the lean rig, from before
-#: it is built to the end of its run, measured: 4,234 on CPython 3.9,
-#: 4,396 on 3.10, 4,077 on 3.11, 4,048 on 3.12, 3,753 on 3.13.  When every
-#: mouse seeded its generator at open and every endpoint held a deque:
-#: 6,304, 6,466, 6,408, 6,371 and 6,079.
-BYTES_PER_ENDPOINT_BOUND = 5000
+#: it is built to the end of its run, measured: 3,517 on CPython 3.9,
+#: 3,763 on 3.10, 3,455 on 3.11, 3,434 on 3.12, 3,134 on 3.13; the bound
+#: is the highest plus about 15%.  While send buffers copied each write
+#: and connections stored their names: 4,259, 4,417, 4,071, 4,042 and
+#: 3,745.  When every mouse seeded its generator at open and every
+#: endpoint held a deque: 6,304, 6,466, 6,408, 6,371 and 6,079.
+BYTES_PER_ENDPOINT_BOUND = 4300
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +250,53 @@ def test_endpoint_bytes_stay_lean(lean_rig):
     assert per_endpoint < BYTES_PER_ENDPOINT_BOUND
 
 
+def test_mice_and_responders_are_one_object_each(lean_rig):
+    """A mouse is its connection's socket and a server connection's
+    responder is one slotted object: no bound method anywhere, the event
+    heap included, has either as its ``__self__``."""
+    _sim, machine, _clients, driver = lean_rig[0]
+    mice = driver.mice
+    assert all(mouse.conn.app is mouse for mouse in mice)
+    responders = [sock.on_data_cb for sock in machine.kernel.sockets.values()]
+    assert responders and not any(hasattr(r, "__dict__") for r in responders)
+    owners = {id(obj) for obj in mice + responders}
+    gc.collect()
+    bound = [
+        o for o in gc.get_objects()
+        if isinstance(o, types.MethodType) and id(o.__self__) in owners
+    ]
+    assert not bound, bound[:3]
+
+
+def test_idle_kernel_sockets_hold_no_list(lean_rig):
+    """The receive queue lists exist only while data waits for the drain."""
+    sockets = list(lean_rig[0][1].kernel.sockets.values())
+    idle = [sock for sock in sockets if sock.pending_bytes == 0]
+    assert any(sock.bytes_received for sock in idle)  # drained ones, too
+    assert len(idle) > len(sockets) // 2
+    for sock in idle:
+        assert sock.pending is None and sock.pending_items is None
+
+
+def test_send_buffers_hold_the_one_request_and_response(lean_rig):
+    """Every buffered request is the driver's one request object and every
+    buffered response the server's one response object: no send buffer
+    holds a copy."""
+    _sim, machine, clients, driver = lean_rig[0]
+    requests = [
+        chunk for mouse in driver.mice if mouse.conn.source is not None
+        for _end, chunk in mouse.conn.source._entries
+    ]
+    responses = [
+        chunk for conn in machine.kernel.connections.values() if conn.source is not None
+        for _end, chunk in conn.source._entries
+    ]
+    assert requests and responses
+    assert all(chunk is driver.request for chunk in requests)
+    assert all(chunk is responses[0] for chunk in responses)
+    assert len(responses[0]) == driver.wl.rpc_response_bytes
+
+
 def test_first_think_time_is_the_first_draw_of_the_mouse_stream():
     """Deriving a mouse's stream late changes none of its draws."""
     wl = ManyConnWorkload(**SMALL)
@@ -254,8 +307,8 @@ def test_first_think_time_is_the_first_draw_of_the_mouse_stream():
     post = sim.post
 
     def recording_post(delay, fn, *args):
-        if getattr(fn, "__func__", None) is _MiceApp._send_request:
-            first_think.setdefault(fn.__self__.index, delay)
+        if fn is _MiceApp._send_request:
+            first_think.setdefault(args[0].index, delay)
         post(delay, fn, *args)
 
     sim.post = recording_post

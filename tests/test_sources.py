@@ -50,6 +50,67 @@ def test_byte_source_available_beyond_buffer_is_zero():
     assert src.available(5) == 0
 
 
+def test_byte_source_shares_bytes_and_copies_mutable_writes():
+    """A ``bytes`` write is buffered as the caller's object; a ``bytearray``
+    or ``memoryview`` is copied, so mutating it later changes nothing."""
+    src = ByteSource()
+    response = b"r" * 2048
+    src.write(response)
+    src.write(response)
+    assert [chunk for _end, chunk in src._entries] == [response, response]
+    assert all(chunk is response for _end, chunk in src._entries)
+    scratch = bytearray(b"abc")
+    backing = bytearray(b"xyz")
+    src.write(scratch)
+    src.write(memoryview(backing))
+    scratch[:] = b"ABC"
+    backing[:] = b"XYZ"
+    assert src.read(4096, 6) == b"abcxyz"
+    assert src.read(2040, 16) == b"r" * 16  # across the two responses
+
+
+_WRITE = st.tuples(st.just("write"), st.binary(max_size=24), st.sampled_from(["bytes", "bytearray"]))
+_READ = st.tuples(st.just("read"), st.integers(-8, 120), st.integers(0, 60))
+_RELEASE = st.tuples(st.just("release"), st.integers(-8, 120))
+
+
+@given(st.lists(st.one_of(_WRITE, _READ, _RELEASE), max_size=40))
+def test_byte_source_matches_a_bytearray_model(ops):
+    """Any sequence of writes, reads (within, across and past chunk
+    boundaries, and below the released offset) and releases behaves as one
+    flat ``bytearray`` with a base offset, the buffer this class replaced."""
+    src = ByteSource()
+    model = bytearray()
+    base = 0
+    for op in ops:
+        if op[0] == "write":
+            data = op[1] if op[2] == "bytes" else bytearray(op[1])
+            src.write(data)
+            model.extend(data)
+            if isinstance(data, bytearray) and data:
+                data[0] ^= 0xFF  # the caller reuses its buffer
+            elif data:
+                assert src._entries[-1][1] is data  # held, not copied
+        elif op[0] == "read":
+            offset, n = base + op[1], op[2]
+            if offset < base:
+                with pytest.raises(ValueError, match="before retained"):
+                    src.read(offset, n)
+            elif n and offset + n > base + len(model):
+                with pytest.raises(ValueError, match="past buffered"):
+                    src.read(offset, n)
+            else:
+                assert src.read(offset, n) == bytes(model[offset - base:offset - base + n])
+        else:
+            offset = min(base + op[1], base + len(model))
+            src.release(offset)
+            if offset > base:
+                del model[:offset - base]
+                base = offset
+        assert src.available(base) == len(model)
+        assert src.available(base + len(model) + 1) == 0
+
+
 # ---------------------------------------------------------------- InfiniteSource
 def test_infinite_source_unbounded_availability():
     src = InfiniteSource()
