@@ -45,14 +45,14 @@ metrics registry, the exact cycle ledger, and the sampler every
 * ``DIR/run.flame``: the ledgers as collapsed-stack flamegraph text;
 * ``DIR/dashboard.txt``: each run's sampled series as text charts.
 
-The collectors live in this process, so only experiments whose every run
-is observable accept ``--obs-dir``
-(:data:`~repro.experiments.runner.OBSERVABLE_EXPERIMENTS`), and not with
-``--jobs`` above one worker on a sweep experiment; otherwise the command
-exits 2 before anything runs or is written.  ``--profile-out PATH`` (on
-``run``) writes the per-category cycle breakdown from the rows, so it
-works with ``--jobs``.  Measured rows are bit-identical with or without
-any of these flags.
+Every run of every experiment is built inside its own observation
+(:func:`~repro.workloads.stream.observed_run`), so ``observations.json``
+holds one run per rig the experiment built.  The collectors live in this
+process, so ``--obs-dir`` is refused with ``--jobs`` above one worker on
+a sweep experiment: the command exits 2 before anything runs or is
+written.  ``--profile-out PATH`` (on ``run``) writes the per-category
+cycle breakdown from the rows, so it works with ``--jobs``.  Measured
+rows are bit-identical with or without any of these flags.
 """
 
 from __future__ import annotations
@@ -286,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir", metavar="DIR",
         help="turn on the tracer, metrics, cycle ledger and sampler, and "
         "write DIR/trace.json, DIR/observations.json, DIR/run.flame and "
-        "DIR/dashboard.txt; only experiments whose runs are all "
-        "observable accept it, and not with --jobs above 1 on a sweep "
-        "(exit 2 before running)",
+        "DIR/dashboard.txt, one observation per run; refused with --jobs "
+        "above 1 on a sweep (exit 2 before running)",
     )
     p_run.set_defaults(fn=_cmd_run)
 

@@ -96,13 +96,6 @@ class AggregationStats:
     def host_packets_delivered(self) -> int:
         return self.aggregates_delivered + self.singles_delivered
 
-    @property
-    def average_aggregation(self) -> float:
-        """Network packets per delivered host packet."""
-        if self.host_packets_delivered == 0:
-            return 0.0
-        return self.packets_in / self.host_packets_delivered
-
 
 class PartialAggregate:
     """A partially aggregated packet waiting in the lookup table."""

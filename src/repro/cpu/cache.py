@@ -92,13 +92,3 @@ class CacheModel:
             self.lines(nbytes) * self.sequential_miss_cycles[mode]
             + nbytes * self.checksum_cycles_per_byte
         )
-
-    def random_touch_cycles(self) -> float:
-        """One compulsory miss at full memory latency.
-
-        Prefetch-mode independent: this is why header demultiplexing
-        (``aggr`` in figure 8, ~789 cycles of which ~681 is this miss) and
-        ``eth_type_trans`` in the driver stay expensive no matter how good
-        the prefetcher is.
-        """
-        return self.memory_miss_cycles

@@ -49,7 +49,3 @@ class LockModel:
         if not self.enabled:
             return 1.0
         return self.factors.get(category, 1.0)
-
-    def inflate(self, category: str, cycles: float) -> float:
-        """Cycles actually consumed for nominal ``cycles`` of work."""
-        return cycles * self.factor(category)

@@ -26,16 +26,14 @@ bulk traffic two effects appear, and this experiment measures both:
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 from repro.core.config import OptimizationConfig
 from repro.experiments.base import ExperimentResult
-from repro.host.client import ClientHost
 from repro.host.configs import linux_up_config
-from repro.net.addresses import ip_from_str
-from repro.sim.engine import Simulator
 from repro.tcp.connection import TcpConfig
 from repro.tcp.source import InfiniteSource
-from repro.workloads.stream import make_receiver
+from repro.workloads.stream import build_rig, observed_run
 
 PAPER_EXPECTED = {
     "bidirectional_lowers_aggregation_degree": True,
@@ -47,28 +45,35 @@ _MEASURE_S = 0.05
 
 
 def _run_variant(modified_tcp: bool, quick: bool) -> dict:
-    sim = Simulator()
     opt = OptimizationConfig.optimized()
     opt.modified_tcp = modified_tcp
     config = dataclasses.replace(linux_up_config(), n_nics=1)
-    machine = make_receiver(sim, config, opt, ip=ip_from_str("10.0.0.1"))
 
-    def on_accept(server_sock) -> None:
-        server_sock.conn.attach_source(InfiniteSource(materialize=False, seed=9))
-        server_sock.conn.app_wrote()
+    def bulk_both_ways(sim, machine, clients):
+        def on_accept(server_sock) -> None:
+            server_sock.conn.attach_source(InfiniteSource(materialize=False, seed=9))
+            server_sock.conn.app_wrote()
 
-    machine.listen(5001, on_accept)
-    client = ClientHost(sim, ip_from_str("10.0.1.1"))
-    machine.add_client(client)
-    sock = client.connect(machine.ip, 5001, config=TcpConfig(mss=config.mss))
-    sock.conn.attach_source(InfiniteSource(materialize=False, seed=8))
+        machine.listen(5001, on_accept)
+        sock = clients[0].connect(machine.ip, 5001, config=TcpConfig(mss=config.mss))
+        sock.conn.attach_source(InfiniteSource(materialize=False, seed=8))
+        return sock
 
-    sim.run(until=_WARMUP_S)
-    server_conn = next(iter(machine.kernel.connections.values()))
-    updates0 = server_conn.stats.cwnd_updates
-    frag0 = server_conn.stats.frag_acks_processed
     measure = _MEASURE_S / 2 if quick else _MEASURE_S
-    sim.run(until=_WARMUP_S + measure)
+    label = f"{config.name}/bidir/{'modified' if modified_tcp else 'stock'}"
+    with observed_run(
+        label,
+        partial(build_rig, config, opt, bulk_both_ways),
+        _WARMUP_S,
+        _WARMUP_S + measure,
+        {5001: "bidirectional"},
+    ) as rig:
+        sim, machine, sock = rig.sim, rig.machine, rig.traffic
+        sim.run(until=_WARMUP_S)
+        server_conn = next(iter(machine.kernel.connections.values()))
+        updates0 = server_conn.stats.cwnd_updates
+        frag0 = server_conn.stats.frag_acks_processed
+        sim.run(until=_WARMUP_S + measure)
     return {
         "cwnd updates/s": (server_conn.stats.cwnd_updates - updates0) / measure,
         "frag acks/s": (server_conn.stats.frag_acks_processed - frag0) / measure,

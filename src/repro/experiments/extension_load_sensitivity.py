@@ -17,16 +17,14 @@ never consume meaningfully more CPU than the baseline at any point.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 from repro.core.config import OptimizationConfig
 from repro.experiments.base import ExperimentResult, window
-from repro.host.client import ClientHost
 from repro.host.configs import linux_up_config
-from repro.net.addresses import ip_from_str
-from repro.sim.engine import Simulator
 from repro.tcp.connection import TcpConfig
 from repro.workloads.paced import PacedSender
-from repro.workloads.stream import make_receiver
+from repro.workloads.stream import build_rig, observed_run
 
 LOAD_FRACTIONS = (0.05, 0.2, 0.5, 0.8)
 QUICK_FRACTIONS = (0.05, 0.5)
@@ -35,28 +33,33 @@ PAPER_EXPECTED = {"optimized_never_meaningfully_worse": True, "max_regression": 
 
 
 def _run_point(load_fraction: float, opt: OptimizationConfig, duration: float, warmup: float):
-    sim = Simulator()
     config = dataclasses.replace(linux_up_config(), n_nics=2)
-    machine = make_receiver(sim, config, opt, ip=ip_from_str("10.0.0.1"))
-    machine.listen(5001)
-    senders = []
-    for i in range(config.n_nics):
-        client = ClientHost(sim, ip_from_str(f"10.0.1.{i + 1}"))
-        machine.add_client(client)
-        sock = client.connect(machine.ip, 5001, config=TcpConfig(mss=config.mss))
-        senders.append(PacedSender(
-            sim, sock.conn,
-            rate_bps=load_fraction * config.nic_rate_bps * 0.9,  # payload share
-            chunk_bytes=4 * config.mss,
-        ))
-    sim.run(until=warmup)
-    busy0 = machine.cpu.busy_cycles
-    bytes0 = sum(s.bytes_received for s in machine.kernel.sockets.values())
-    prof0 = machine.profiler.snapshot(sim.now)
-    sim.run(until=warmup + duration)
-    delta = machine.profiler.snapshot(sim.now).diff(prof0)
-    received = sum(s.bytes_received for s in machine.kernel.sockets.values()) - bytes0
-    busy = machine.cpu.busy_cycles - busy0
+
+    def paced(sim, machine, clients):
+        machine.listen(5001)
+        return [
+            PacedSender(
+                sim,
+                client.connect(machine.ip, 5001, config=TcpConfig(mss=config.mss)).conn,
+                rate_bps=load_fraction * config.nic_rate_bps * 0.9,  # payload share
+                chunk_bytes=4 * config.mss,
+            )
+            for client in clients
+        ]
+
+    label = f"{config.name}/{'opt' if opt.receive_aggregation else 'base'}/load{load_fraction:g}"
+    with observed_run(
+        label, partial(build_rig, config, opt, paced), warmup, warmup + duration, {5001: "paced"}
+    ) as rig:
+        sim, machine = rig.sim, rig.machine
+        sim.run(until=warmup)
+        busy0 = machine.cpu.busy_cycles
+        bytes0 = rig.server_bytes()
+        prof0 = machine.profiler.snapshot(sim.now)
+        sim.run(until=warmup + duration)
+        delta = machine.profiler.snapshot(sim.now).diff(prof0)
+        received = rig.server_bytes() - bytes0
+        busy = machine.cpu.busy_cycles - busy0
     return {
         "throughput_mbps": received * 8 / duration / 1e6,
         "cycles_per_kb": busy / max(1, received) * 1024,

@@ -40,6 +40,8 @@ conservation, governor consistency) on top.
 
 from __future__ import annotations
 
+import dataclasses
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import OptimizationConfig
@@ -48,7 +50,7 @@ from repro.faults.plan import ImpairmentConfig, storm_plan
 from repro.host.configs import linux_up_config
 from repro.parallel import run_points
 from repro.tcp.seqmath import seq_diff
-from repro.workloads.stream import SERVER_PORT, build_stream_rig
+from repro.workloads.stream import SERVER_PORT, build_stream_rig, observed_run
 
 #: (kind, intensity, lro) sweep: every fault kind the injector supports,
 #: the lossy ones at two intensities.  The ``lro=True`` reorder row runs the
@@ -106,10 +108,6 @@ def _mode_opt(mode: str) -> OptimizationConfig:
     return OptimizationConfig.resilient()
 
 
-def _server_bytes(machine) -> int:
-    return sum(sock.bytes_received for sock in machine.kernel.sockets.values())
-
-
 def _assert_streams_intact(machine, senders, label: str) -> None:
     """§3.2 equivalence, end to end: the delivered stream is the sent one.
 
@@ -151,41 +149,38 @@ def _run_mode(
     mode: str, kind: str, intensity: float, horizon: float, lro: bool
 ) -> Dict[str, float]:
     """One build under one storm window; returns the per-mode numbers."""
-    import dataclasses
-
     plan = storm_plan(kind, intensity, start=FAULT_START, duration=FAULT_DURATION)
     imp = ImpairmentConfig(plan=plan)
     config = linux_up_config()
     if lro:
         config = dataclasses.replace(config, nic_lro=True, name="Linux UP/LRO")
-    sim, machine, clients, senders = build_stream_rig(
-        config, _mode_opt(mode), impairments=imp
-    )
-
-    sim.run(until=REF_START)
-    ref_bytes0 = _server_bytes(machine)
-    sim.run(until=FAULT_START)
-    ref_bytes1 = _server_bytes(machine)
-    ref_rate = (ref_bytes1 - ref_bytes0) / (FAULT_START - REF_START)
-
-    fault_end = plan.horizon
-    sim.run(until=fault_end)
-    fault_bytes = _server_bytes(machine) - ref_bytes1
-    fault_mbps = fault_bytes * 8 / FAULT_DURATION / 1e6
-
-    recovery_ms: Optional[float] = None
-    t = fault_end
-    prev = _server_bytes(machine)
-    while t < horizon - 1e-12:
-        t += RECOVERY_BIN
-        sim.run(until=t)
-        cur = _server_bytes(machine)
-        if (cur - prev) / RECOVERY_BIN >= RECOVERY_FRACTION * ref_rate:
-            recovery_ms = (t - fault_end) * 1000.0
-            break
-        prev = cur
-
     label = f"{kind}@{intensity:g}{'+lro' if lro else ''}/{mode}"
+    build = partial(build_stream_rig, config, _mode_opt(mode), impairments=imp)
+    with observed_run(label, build, REF_START, horizon, {SERVER_PORT: "stream"}) as rig:
+        sim, machine, senders = rig.sim, rig.machine, rig.traffic
+        sim.run(until=REF_START)
+        ref_bytes0 = rig.server_bytes()
+        sim.run(until=FAULT_START)
+        ref_bytes1 = rig.server_bytes()
+        ref_rate = (ref_bytes1 - ref_bytes0) / (FAULT_START - REF_START)
+
+        fault_end = plan.horizon
+        sim.run(until=fault_end)
+        fault_bytes = rig.server_bytes() - ref_bytes1
+        fault_mbps = fault_bytes * 8 / FAULT_DURATION / 1e6
+
+        recovery_ms: Optional[float] = None
+        t = fault_end
+        prev = rig.server_bytes()
+        while t < horizon - 1e-12:
+            t += RECOVERY_BIN
+            sim.run(until=t)
+            cur = rig.server_bytes()
+            if (cur - prev) / RECOVERY_BIN >= RECOVERY_FRACTION * ref_rate:
+                recovery_ms = (t - fault_end) * 1000.0
+                break
+            prev = cur
+
     _assert_streams_intact(machine, senders, label)
     if mode in ("resilient", "sort") and recovery_ms is None:
         raise AssertionError(
@@ -200,9 +195,7 @@ def _run_mode(
         "retransmits": sum(s.conn.stats.retransmits for s in senders),
         "resets": sum(d.stats.resets for d in machine.drivers),
         "flips": sum(g.stats.enters + g.stats.exits for g in machine.governors),
-        "transitions": sum(g.stats.mode_transitions for g in machine.governors),
         "holds": sum(r.stats.holds for r in machine.repairs),
-        "events": sim.events_fired,
     }
 
 

@@ -16,15 +16,14 @@ structure Receive Aggregation creates on the other side.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 from repro.core.config import OptimizationConfig
 from repro.experiments.base import ExperimentResult
 from repro.host.configs import linux_up_config
-from repro.workloads.stream import make_receiver
-from repro.host.client import ClientHost
-from repro.net.addresses import ip_from_str
-from repro.sim.engine import Simulator
 from repro.tcp.connection import TcpConfig
+from repro.workloads.request_response import rpc_server
+from repro.workloads.stream import build_rig, observed_run
 
 PAPER_EXPECTED = {"tso_cuts_tx_cycles_for_large_responses": True}
 
@@ -33,20 +32,7 @@ RESPONSE_SIZES = (1448, 16 * 1024, 64 * 1024)
 
 def _serve_once(tso: bool, response_size: int, duration: float):
     """RR with large responses; returns (transactions/s, cycles/transaction)."""
-    sim = Simulator()
     config = dataclasses.replace(linux_up_config(), n_nics=1, tso=tso)
-    machine = make_receiver(sim, config, OptimizationConfig.baseline(), ip=ip_from_str("10.0.0.1"))
-
-    response = b"r" * response_size
-
-    def on_accept(server_sock) -> None:
-        server_sock.on_data_cb = lambda s, payload, length: s.send(response)
-
-    machine.listen(5001, on_accept)
-    client = ClientHost(sim, ip_from_str("10.0.1.1"))
-    machine.add_client(client)
-    sock = client.connect(machine.ip, 5001, config=TcpConfig(mss=config.mss, rcv_buf=1 << 20, window_scale=5))
-
     transactions = [0]
 
     def on_response(s, payload, length):
@@ -58,13 +44,28 @@ def _serve_once(tso: bool, response_size: int, duration: float):
             s.send(b"q")
 
     on_response.received = 0
-    sock.on_established_cb = lambda s: s.send(b"q")
-    sock.on_data_cb = on_response
+
+    def serve(sim, machine, clients):
+        machine.listen(5001, rpc_server(1, response_size))
+        sock = clients[0].connect(
+            machine.ip, 5001, config=TcpConfig(mss=config.mss, rcv_buf=1 << 20, window_scale=5)
+        )
+        sock.on_established_cb = lambda s: s.send(b"q")
+        sock.on_data_cb = on_response
 
     warmup = 0.05
-    sim.run(until=warmup)
-    tx0, busy0 = transactions[0], machine.cpu.busy_cycles
-    sim.run(until=warmup + duration)
+    label = f"{config.name}/{'tso' if tso else 'no-tso'}/{response_size}B"
+    with observed_run(
+        label,
+        partial(build_rig, config, OptimizationConfig.baseline(), serve),
+        warmup,
+        warmup + duration,
+        {5001: "rr"},
+    ) as rig:
+        sim, machine = rig.sim, rig.machine
+        sim.run(until=warmup)
+        tx0, busy0 = transactions[0], machine.cpu.busy_cycles
+        sim.run(until=warmup + duration)
     tx = transactions[0] - tx0
     busy = machine.cpu.busy_cycles - busy0
     return tx / duration, busy / max(1, tx)

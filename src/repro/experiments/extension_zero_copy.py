@@ -36,6 +36,7 @@ Rigs:
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import OptimizationConfig
@@ -43,7 +44,7 @@ from repro.experiments.base import ExperimentResult, window
 from repro.host.configs import linux_smp_config, linux_up_config
 from repro.mem.hierarchy import MemConfig
 from repro.parallel import run_points
-from repro.workloads.stream import build_stream_rig
+from repro.workloads.stream import SERVER_PORT, build_stream_rig, observed_run
 
 #: LLC size used by every point (MemConfig default: 2 MiB, 16-way, 2 I/O
 #: ways).  Working sets sweep from well under the app share (~1.75 MiB)
@@ -84,7 +85,7 @@ def measure_mode(
 ) -> Dict[str, float]:
     """Run one (rig, working set, receive mode) cell and return raw numbers.
 
-    Builds the rig directly (rather than via ``run_*_experiment``) because
+    Runs the rig itself (rather than via ``run_*_experiment``) because
     the row wants the hierarchy counters off ``machine.mem`` alongside the
     goodput.  Cycles/byte is the busy-cycle delta over the measurement
     window divided by the delivered-byte delta — whole-stack cycles, so
@@ -100,19 +101,18 @@ def measure_mode(
     )
     if freq_hz is not None:
         cfg = dataclasses.replace(cfg, cpu_freq_hz=freq_hz)
-    sim, machine, _clients, _senders = build_stream_rig(cfg, opt, queues=queues)
-
-    def server_bytes() -> int:
-        return sum(s.bytes_received for s in machine.kernel.sockets.values())
-
-    sim.run(until=warmup)
-    busy0 = machine.total_busy_cycles()
-    bytes0 = server_bytes()
-    evictions0 = machine.mem.io_evictions
-    remote0 = machine.mem.remote_line_fetches
-    sim.run(until=warmup + duration)
-    delta_bytes = server_bytes() - bytes0
-    delta_busy = machine.total_busy_cycles() - busy0
+    label = f"{system}/{'zcrx' if zero_copy else 'copy'}/ws{working_set_bytes >> 10}K"
+    build = partial(build_stream_rig, cfg, opt, queues=queues)
+    with observed_run(label, build, warmup, warmup + duration, {SERVER_PORT: "stream"}) as rig:
+        sim, machine = rig.sim, rig.machine
+        sim.run(until=warmup)
+        busy0 = machine.total_busy_cycles()
+        bytes0 = rig.server_bytes()
+        evictions0 = machine.mem.io_evictions
+        remote0 = machine.mem.remote_line_fetches
+        sim.run(until=warmup + duration)
+        delta_bytes = rig.server_bytes() - bytes0
+        delta_busy = machine.total_busy_cycles() - busy0
     return {
         "mbps": delta_bytes * 8 / duration / 1e6,
         "cyc_per_byte": delta_busy / max(1, delta_bytes),

@@ -57,30 +57,6 @@ REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
     "extension_zero_copy": extension_zero_copy.run,
 }
 
-#: Experiments whose every run goes through the ``observe()``-capable
-#: streaming/many-connection workloads, so an observation (``--obs-dir``)
-#: sees all of them.  The others (latency tables, rigs built outside an
-#: observation) reject ``observed=True`` loudly instead of exporting an
-#: empty or partial observation.
-OBSERVABLE_EXPERIMENTS = frozenset({
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "ablation_limit1",
-    "extension_hw_lro",
-    "extension_itr",
-    "extension_jumbo",
-    "extension_rss_scaling",
-})
-
 
 def run_experiment(
     experiment_id: str,
@@ -107,10 +83,10 @@ def run_experiment(
     hierarchy for experiments that model it (``extension_zero_copy``);
     asking any other experiment is likewise a loud error.  ``observed``
     says the caller collects observations in this process (the CLI's
-    ``--obs-dir``): the experiment must be in
-    :data:`OBSERVABLE_EXPERIMENTS`, and a sweep must not send points to
-    ``jobs`` worker processes, which the collectors never see.  Either is
-    a ``ValueError`` before anything runs.
+    ``--obs-dir``): every run of every experiment is built inside its
+    observation, but a sweep must not send points to ``jobs`` worker
+    processes, which the collectors never see; that is a ``ValueError``
+    before anything runs.
     """
     try:
         fn = REGISTRY[experiment_id]
@@ -119,12 +95,6 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; known: {sorted(REGISTRY)}"
         ) from None
     params = inspect.signature(fn).parameters
-    if observed and experiment_id not in OBSERVABLE_EXPERIMENTS:
-        raise ValueError(
-            f"experiment {experiment_id!r} builds rigs outside an observation, "
-            "so --obs-dir would export none of its runs; observable: "
-            f"{sorted(OBSERVABLE_EXPERIMENTS)}"
-        )
     if observed and "jobs" in params and resolve_jobs(jobs) > 1:
         raise ValueError(
             f"--obs-dir cannot be combined with --jobs {jobs}: {experiment_id} "

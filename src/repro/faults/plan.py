@@ -284,10 +284,6 @@ class ImpairmentConfig:
             if not (0.0 <= p < 1.0):
                 raise ValueError(f"{label} probability must be in [0, 1) (got {p})")
 
-    @property
-    def any_active(self) -> bool:
-        return bool(self.drop or self.reorder or self.dup or self.plan)
-
 
 def storm_plan(
     kind: str,

@@ -97,6 +97,8 @@ class ReceiverBase:
         self.pools: List[BufferPool] = []
         self.clients: List[ClientHost] = []
         self.links: List[Link] = []
+        #: The multi-queue steering policy; None on one receive path.
+        self.steering: Optional[SteeringPolicy] = None
 
     def _cable(
         self, client: ClientHost, nic: Nic, drop_prob: float, reorder_prob: float,
@@ -184,7 +186,6 @@ class ReceiverMachine(ReceiverBase):
         )
 
         if queues == 1:
-            self.steering = None
             self.cpus.append(
                 Cpu(sim, config.cpu_freq_hz, costs=config.costs, locks=config.locks,
                     name=f"{name}-cpu0")

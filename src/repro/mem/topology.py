@@ -11,8 +11,6 @@ variable that decides local vs remote line fetches.
 
 from __future__ import annotations
 
-from typing import List
-
 
 class NumaTopology:
     """Static node→CPU / node→RX-queue block mapping."""
@@ -39,12 +37,6 @@ class NumaTopology:
 
     def node_of_queue(self, queue_index: int) -> int:
         return self._node_of(queue_index % self.n_queues, self.n_queues)
-
-    def cpus_of_node(self, node: int) -> List[int]:
-        return [i for i in range(self.n_cpus) if self.node_of_cpu(i) == node]
-
-    def queues_of_node(self, node: int) -> List[int]:
-        return [i for i in range(self.n_queues) if self.node_of_queue(i) == node]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

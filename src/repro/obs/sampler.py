@@ -15,7 +15,7 @@ rows are unaffected.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 #: Default sampling interval (seconds of simulated time).  Quick windows are
 #: 100 ms total, so 5 ms gives ~20 points per quick run.
@@ -205,13 +205,13 @@ def check_dashboard_text(text: str) -> List[str]:
 # ----------------------------------------------------------------------
 # standard probe sets for the streaming rigs
 # ----------------------------------------------------------------------
-def bind_standard_probes(sampler: TimeSeriesSampler, machine, senders=()) -> None:
-    """Attach the default telemetry set for a streaming-receive rig.
+def bind_standard_probes(sampler: TimeSeriesSampler, machine, connections=()) -> None:
+    """Attach the default telemetry set for a receive rig.
 
-    Covers the series the figures reason about: receive throughput, sender
-    cwnd, per-queue ring occupancy, and aggregation queue depth.  Works on
-    every machine through the same shared lists as
-    :func:`repro.obs.metrics.bind_machine`.
+    Covers the series the figures reason about: receive throughput, the
+    cwnd of each of ``connections`` (the clients' side), per-queue ring
+    occupancy, and aggregation queue depth.  Works on every machine
+    through the same shared lists as :func:`repro.obs.metrics.bind_machine`.
     """
     kernel = getattr(machine, "kernel", None)
     if kernel is not None:
@@ -222,8 +222,7 @@ def bind_standard_probes(sampler: TimeSeriesSampler, machine, senders=()) -> Non
             scale=8 / 1e6,
         )
 
-    for sock in senders:
-        conn = sock.conn
+    for conn in connections:
         sampler.add_probe(f"cwnd.{conn.name}", lambda c=conn: c.reno.cwnd)
 
     for nic in machine.nics:

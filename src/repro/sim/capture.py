@@ -1,10 +1,10 @@
 """Packet capture: a tcpdump analogue for simulated links.
 
 A :class:`PacketCapture` taps a link (or any packet stream) and records
-:class:`CaptureRecord` entries with timestamps.  Captures support BPF-ish
-filtering by flow/port/flags, summary rendering, basic statistics, and
-JSON export — used by tests to assert on wire behaviour and by users to
-debug workloads.
+:class:`CaptureRecord` entries with timestamps.  Captures support
+filtering by flow, summary rendering, basic statistics, and JSON export
+— used by tests to assert on wire behaviour and by users to debug
+workloads.
 
 With ``max_records`` set the capture is a bounded ring (like tcpdump's
 ``-c`` combined with a rotating buffer): once full, the *oldest* record is
@@ -16,7 +16,6 @@ capture and a truncated trace describe the same (latest) slice of the run.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -117,19 +116,11 @@ class PacketCapture:
     def by_flow(self, flow: FlowKey) -> List[CaptureRecord]:
         return self.filter(lambda rec: rec.flow == flow)
 
-    def by_port(self, port: int) -> List[CaptureRecord]:
-        return self.filter(
-            lambda rec: rec.packet.tcp.src_port == port or rec.packet.tcp.dst_port == port
-        )
-
     def data_packets(self) -> List[CaptureRecord]:
         return self.filter(lambda rec: rec.packet.payload_len > 0)
 
     def pure_acks(self) -> List[CaptureRecord]:
         return self.filter(lambda rec: rec.packet.is_pure_ack)
-
-    def with_flags(self, flags: TcpFlags) -> List[CaptureRecord]:
-        return self.filter(lambda rec: flags in rec.packet.tcp.flags)
 
     # ------------------------------------------------------------------
     # analysis
@@ -145,24 +136,6 @@ class PacketCapture:
         if span <= 0:
             return 0.0
         return self.bytes_captured() * 8 / span
-
-    def interarrival_times(self) -> List[float]:
-        times = [rec.time for rec in self.records]
-        return [b - a for a, b in zip(times, times[1:])]
-
-    def sequence_gaps(self, flow: FlowKey) -> int:
-        """Count of non-contiguous sequence steps on one flow (reordering
-        or loss evidence)."""
-        gaps = 0
-        expected: Optional[int] = None
-        for rec in self.by_flow(flow):
-            pkt = rec.packet
-            if pkt.payload_len == 0:
-                continue
-            if expected is not None and pkt.tcp.seq != expected:
-                gaps += 1
-            expected = pkt.end_seq
-        return gaps
 
     def dump(self, limit: int = 50) -> str:
         lines = [f"capture {self.name!r}: {len(self.records)} packets"]
@@ -189,10 +162,6 @@ class PacketCapture:
             "records_dropped": self.records_dropped,
             "records": [rec.to_json() for rec in self.records],
         }
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -357,11 +357,6 @@ class Simulator:
             self._after_event_hooks.remove(hook)
             self._rebuild_after_event()
 
-    def clear_after_event_hook(self) -> None:
-        """Unregister every observer."""
-        self._after_event_hooks.clear()
-        self._after_event = None
-
     def _rebuild_after_event(self) -> None:
         hooks = tuple(self._after_event_hooks)
         if not hooks:

@@ -44,11 +44,3 @@ def seq_ge(a: int, b: int) -> bool:
 def seq_between(a: int, low: int, high: int) -> bool:
     """True when ``low <= a <= high`` in sequence space."""
     return seq_le(low, a) and seq_le(a, high)
-
-
-def seq_max(a: int, b: int) -> int:
-    return a if seq_ge(a, b) else b
-
-
-def seq_min(a: int, b: int) -> int:
-    return a if seq_le(a, b) else b

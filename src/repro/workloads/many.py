@@ -39,16 +39,17 @@ but stay deterministic for a given window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 from repro.host.client import ClientHost
 from repro.host.configs import OptimizationConfig, SystemConfig
-from repro.net.addresses import ip_from_str
 from repro.sim.rng import SeededRng
 from repro.tcp.connection import TcpConfig
 from repro.tcp.socket import TcpSocket
 from repro.tcp.source import InfiniteSource
-from repro.workloads.stream import make_receiver
+from repro.workloads.request_response import rpc_server
+from repro.workloads.stream import build_rig, observed_run
 
 #: Bulk streams sink here (pure receive-and-discard).
 ELEPHANT_PORT = 5001
@@ -246,58 +247,14 @@ def build_many_connection_rig(
     workload: Optional[ManyConnWorkload] = None,
 ):
     """Assemble sim + server + clients + population driver (unstarted)."""
-    from repro.sim.engine import Simulator
-
     wl = workload if workload is not None else ManyConnWorkload()
-    sim = Simulator()
-    machine = make_receiver(sim, config, opt, ip=ip_from_str("10.0.0.1"))
-    machine.listen(ELEPHANT_PORT)
-    machine.listen(RPC_PORT, _rpc_server(wl))
 
-    clients: List[ClientHost] = []
-    for i in range(config.n_nics):
-        client = ClientHost(
-            sim, ip_from_str(f"10.0.1.{i + 1}"), name=f"client{i}", iss_base=1000 + i
-        )
-        machine.add_client(client, batch_window_s=wl.batch_window_s)
-        clients.append(client)
+    def population(sim, machine, clients):
+        machine.listen(ELEPHANT_PORT)
+        machine.listen(RPC_PORT, rpc_server(wl.rpc_request_bytes, wl.rpc_response_bytes))
+        return ManyConnectionDriver(sim, machine, clients, wl)
 
-    driver = ManyConnectionDriver(sim, machine, clients, wl)
-    return sim, machine, clients, driver
-
-
-class _RpcResponder:
-    """Server side of one RPC connection: answers each complete request.
-
-    The accepted socket's ``on_data_cb`` is this one slotted object, not a
-    closure with a cell and a state dict; every response it sends is the
-    rig's one response object.
-    """
-
-    __slots__ = ("request_bytes", "response", "received")
-
-    def __init__(self, request_bytes: int, response: bytes):
-        self.request_bytes = request_bytes
-        self.response = response
-        self.received = 0
-
-    def __call__(self, sock, payload, length) -> None:
-        self.received += length
-        while self.received >= self.request_bytes:
-            self.received -= self.request_bytes
-            sock.send(self.response)
-
-
-def _rpc_server(wl: ManyConnWorkload):
-    """Server-side accept hook: a responder per accepted socket, all
-    sending one shared response object."""
-    request_bytes = wl.rpc_request_bytes
-    response = b"r" * wl.rpc_response_bytes
-
-    def on_accept(server_sock) -> None:
-        server_sock.on_data_cb = _RpcResponder(request_bytes, response)
-
-    return on_accept
+    return build_rig(config, opt, population, batch_window_s=wl.batch_window_s)
 
 
 def run_many_connection_experiment(
@@ -321,25 +278,22 @@ def run_many_connection_rig(
     """:func:`run_many_connection_experiment`, also returning the rig
     ``(sim, machine, clients, driver)`` as the run left it:
     ``(result, rig)``."""
-    from repro.obs import runtime as obs_runtime
-    from repro.workloads.stream import _server_bytes, bind_ledger, bind_observation
-
     wl = workload if workload is not None else ManyConnWorkload()
-    with obs_runtime.observe(f"{config.name}/many{wl.n_connections}") as obs:
-        sim, machine, clients, driver = build_many_connection_rig(config, opt, wl)
-        bind_observation(obs, sim, machine, [], horizon=warmup + duration)
-        bind_ledger(
-            obs, warmup, {ELEPHANT_PORT: "elephant", RPC_PORT: "rpc"}
-        )
+    with observed_run(
+        f"{config.name}/many{wl.n_connections}",
+        partial(build_many_connection_rig, config, opt, wl),
+        warmup,
+        warmup + duration,
+        {ELEPHANT_PORT: "elephant", RPC_PORT: "rpc"},
+    ) as rig:
+        sim, machine, driver = rig.sim, rig.machine, rig.traffic
         driver.start()
 
         sim.run(until=warmup)
-        bytes0 = _server_bytes(machine)
+        bytes0 = rig.server_bytes()
         tx0 = driver.transactions
         sim.run(until=warmup + duration)
-        bytes_rx = _server_bytes(machine) - bytes0
-        if obs is not None:
-            obs.meta.update(system=config.name, optimized=opt.receive_aggregation)
+        bytes_rx = rig.server_bytes() - bytes0
 
     slab = getattr(machine, "packet_slab", None)
     result = ManyConnResult(
@@ -355,4 +309,4 @@ def run_many_connection_rig(
         events_fired=sim.events_fired,
         allocations_saved=slab.allocations_saved if slab is not None else 0,
     )
-    return result, (sim, machine, clients, driver)
+    return result, (sim, machine, rig.clients, driver)

@@ -1,26 +1,27 @@
 """The netperf TCP_RR latency benchmark (paper §5.4, Table 1).
 
-A client sends a one-byte request; the server under test responds with one
-byte; on receiving the response the client immediately issues the next
-request.  The metric is transactions per second.  ``client_overhead_s``
-models the client machine's own kernel+application turnaround (the paper's
-clients are real machines; ours are otherwise cost-free) and is calibrated
-once so the *baseline* lands near the paper's ≈ 7900 req/s — the experiment
-then compares baseline vs. optimized under identical settings.
+A client sends a request; the server under test answers each complete
+request with one response; when the whole response has arrived the client
+issues the next request.  The metric is transactions per second.
+``client_overhead_s`` models the client machine's own kernel+application
+turnaround (the paper's clients are real machines; ours are otherwise
+cost-free) and is calibrated once so the *baseline* lands near the paper's
+≈ 7900 req/s — the experiment then compares baseline vs. optimized under
+identical settings.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from functools import partial
 from typing import List
 
-from repro.host.client import ClientHost
 from repro.host.configs import OptimizationConfig, SystemConfig
-from repro.workloads.stream import make_receiver
-from repro.net.addresses import ip_from_str
 from repro.sim.engine import Simulator
 from repro.tcp.connection import TcpConfig
 from repro.workloads.results import LatencyResult
+from repro.workloads.stream import build_rig, observed_run
 
 SERVER_PORT = 5002
 
@@ -28,18 +29,56 @@ SERVER_PORT = 5002
 DEFAULT_CLIENT_OVERHEAD_S = 80e-6
 
 
-class _RrClientApp:
-    """Drives the request/response loop from the client side."""
+class RpcResponder:
+    """Server side of one request/response connection: answers each
+    complete request.
 
-    def __init__(self, sim: Simulator, sock, request_size: int, overhead_s: float):
+    The accepted socket's ``on_data_cb`` is this one slotted object, not a
+    closure with a cell and a state dict; every response it sends is the
+    rig's one response object.
+    """
+
+    __slots__ = ("request_bytes", "response", "received")
+
+    def __init__(self, request_bytes: int, response: bytes):
+        self.request_bytes = request_bytes
+        self.response = response
+        self.received = 0
+
+    def __call__(self, sock, payload, length) -> None:
+        self.received += length
+        while self.received >= self.request_bytes:
+            self.received -= self.request_bytes
+            sock.send(self.response)
+
+
+def rpc_server(request_bytes: int, response_bytes: int):
+    """Server-side accept hook: a responder per accepted socket, all
+    sending one shared response object."""
+    response = b"r" * response_bytes
+
+    def on_accept(server_sock) -> None:
+        server_sock.on_data_cb = RpcResponder(request_bytes, response)
+
+    return on_accept
+
+
+class _RrClientApp:
+    """Drives the request/response loop from the client side: one
+    transaction per complete response."""
+
+    def __init__(self, sim: Simulator, sock, request_size: int, response_size: int,
+                 overhead_s: float):
         self.sim = sim
         self.sock = sock
         #: The one request object every transaction sends.
         self.request = b"q" * request_size
+        self.response_size = response_size
         self.overhead_s = overhead_s
         self.transactions = 0
         self.rtt_samples: List[float] = []
         self._sent_at = 0.0
+        self._received = 0
         sock.on_established_cb = lambda s: self._send_request()
         sock.on_data_cb = self._on_response
 
@@ -48,6 +87,10 @@ class _RrClientApp:
         self.sock.send(self.request)
 
     def _on_response(self, sock, payload, length) -> None:
+        self._received += length
+        if self._received < self.response_size:
+            return
+        self._received -= self.response_size
         self.transactions += 1
         self.rtt_samples.append(self.sim.now - self._sent_at)
         self.sim.schedule(self.overhead_s, self._send_request)
@@ -63,25 +106,26 @@ def run_rr_experiment(
     client_overhead_s: float = DEFAULT_CLIENT_OVERHEAD_S,
 ) -> LatencyResult:
     """Run TCP_RR against the given system and measure transactions/second."""
-    sim = Simulator()
-    machine = make_receiver(sim, config, opt, ip=ip_from_str("10.0.0.1"))
 
-    response = b"r" * response_size
+    def request_response(sim, machine, clients):
+        machine.listen(SERVER_PORT, rpc_server(request_size, response_size))
+        sock = clients[0].connect(machine.ip, SERVER_PORT, config=TcpConfig(mss=config.mss))
+        return _RrClientApp(sim, sock, request_size, response_size, client_overhead_s)
 
-    def on_accept(server_sock) -> None:
-        server_sock.on_data_cb = lambda s, payload, length: s.send(response)
-
-    machine.listen(SERVER_PORT, on_accept)
-
-    client = ClientHost(sim, ip_from_str("10.0.1.1"), name="rr-client")
-    machine.add_client(client)
-    sock = client.connect(machine.ip, SERVER_PORT, config=TcpConfig(mss=config.mss))
-    app = _RrClientApp(sim, sock, request_size, client_overhead_s)
-
-    sim.run(until=warmup)
-    tx0 = app.transactions
-    samples0 = len(app.rtt_samples)
-    sim.run(until=warmup + duration)
+    one_client = dataclasses.replace(config, n_nics=1)
+    label = f"{config.name}/{'opt' if opt.receive_aggregation else 'base'}/rr"
+    with observed_run(
+        label,
+        partial(build_rig, one_client, opt, request_response),
+        warmup,
+        warmup + duration,
+        {SERVER_PORT: "rr"},
+    ) as rig:
+        sim, app = rig.sim, rig.traffic
+        sim.run(until=warmup)
+        tx0 = app.transactions
+        samples0 = len(app.rtt_samples)
+        sim.run(until=warmup + duration)
     tx = app.transactions - tx0
     samples = app.rtt_samples[samples0:]
     mean_rtt = math.fsum(samples) / len(samples) if samples else 0.0

@@ -8,10 +8,9 @@ import os
 import pytest
 
 from repro.analysis.export import result_to_csv, results_to_csv_files
-from repro.analysis.validation import CheckResult, validate
+from repro.analysis.validation import validate
 from repro.cli import build_parser, main
 from repro.experiments.base import ExperimentResult
-from repro.experiments.runner import OBSERVABLE_EXPERIMENTS, REGISTRY
 from repro.sim.engine import Simulator
 
 
@@ -134,8 +133,8 @@ def test_cli_obs_dir_is_the_only_observability_flag(capsys):
 
 @pytest.mark.parametrize("flag", ["--ledger-out", "--flame-out", "--obs-dir"])
 def test_cli_all_rejects_ledger_flags(flag):
-    """``all`` takes no observability flag: most experiments cannot be
-    observed, so only ``run`` takes ``--obs-dir``."""
+    """``all`` takes no observability flag: only ``run`` takes
+    ``--obs-dir``."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["all", "--quick", flag, "x.json"])
     assert exc.value.code == 2
@@ -185,17 +184,6 @@ def test_cli_obs_output_without_worker_runs_is_accepted(argv, tmp_path, monkeypa
     assert (tmp_path / argv[-1]).exists()
 
 
-@pytest.mark.parametrize("experiment_id", sorted(set(REGISTRY) - OBSERVABLE_EXPERIMENTS))
-def test_cli_obs_dir_refused_where_runs_are_not_observable(experiment_id, tmp_path, capsys, monkeypatch):
-    """These experiments build rigs outside an observation, so --obs-dir
-    would export nothing of them: the one gate exits 2 before running."""
-    monkeypatch.chdir(tmp_path)
-    assert main(["run", experiment_id, "--quick", "--obs-dir", "D"]) == 2
-    out, err = capsys.readouterr()
-    assert "outside an observation" in err and out == ""
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_cli_rejected_run_turns_observation_back_off(tmp_path, capsys, monkeypatch):
     """A request the experiment rejects exits 2 and leaves the process-wide
     obs config all-off, so later runs in the same process (a test suite,
@@ -204,8 +192,8 @@ def test_cli_rejected_run_turns_observation_back_off(tmp_path, capsys, monkeypat
 
     monkeypatch.chdir(tmp_path)
     try:
-        assert main(["run", "table1", "--quick", "--obs-dir", "D"]) == 2
-        assert "--obs-dir" in capsys.readouterr().err
+        assert main(["run", "table1", "--quick", "--queues", "2", "--obs-dir", "D"]) == 2
+        assert "--queues" in capsys.readouterr().err
         assert obs.config() == obs.ObsConfig()
     finally:
         obs.reset()

@@ -29,11 +29,6 @@ def test_prefetch_modes_order_per_byte_cost():
     assert none / full > 4  # the shift is dramatic, not marginal
 
 
-def test_random_touch_is_prefetch_insensitive():
-    cache = CacheModel()
-    assert cache.random_touch_cycles() == cache.memory_miss_cycles
-
-
 def test_copy_scales_linearly_in_lines():
     cache = CacheModel()
     one = cache.sequential_copy_cycles(64, PrefetchMode.FULL)
@@ -92,7 +87,6 @@ def test_baseline_up_calibration_identity():
 def test_lock_model_disabled_is_identity():
     locks = LockModel(enabled=False)
     assert locks.factor(Category.RX) == 1.0
-    assert locks.inflate(Category.RX, 100) == 100
 
 
 def test_lock_model_paper_factors():

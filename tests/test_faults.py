@@ -108,11 +108,6 @@ class TestFaultPlan:
         assert isinstance(plan.specs, tuple)  # list input normalized
         assert pickle.loads(pickle.dumps(plan)) == plan
 
-    def test_any_active(self):
-        assert not ImpairmentConfig().any_active
-        assert ImpairmentConfig(drop=0.1).any_active
-        assert ImpairmentConfig(plan=sample_plan()).any_active
-
 
 # ----------------------------------------------------------------------
 # every fault kind, end to end: inject -> restore -> recover

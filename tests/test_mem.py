@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.sanitizer import InvariantViolation, SimSanitizer
 from repro.core.config import OptimizationConfig
 from repro.cpu.costmodel import CostModel
-from repro.host.configs import linux_smp_config, linux_up_config
+from repro.host.configs import linux_up_config
 from repro.host.machine import ReceiverMachine
 from repro.host.client import ClientHost
 from repro.mem.hierarchy import MemConfig, MemoryHierarchy
@@ -62,9 +62,7 @@ class TestTopology:
     def test_block_split_two_nodes_four_cpus(self):
         topo = NumaTopology(nodes=2, cpus=4, queues=4)
         assert [topo.node_of_cpu(i) for i in range(4)] == [0, 0, 1, 1]
-        assert topo.cpus_of_node(0) == [0, 1]
-        assert topo.cpus_of_node(1) == [2, 3]
-        assert topo.queues_of_node(1) == [2, 3]
+        assert [topo.node_of_queue(i) for i in range(4)] == [0, 0, 1, 1]
 
     def test_more_nodes_than_cpus_clamps(self):
         topo = NumaTopology(nodes=4, cpus=2)

@@ -235,7 +235,6 @@ def test_mq_repair_rig_racecheck_and_ledger_green():
     charging cycles under its own category and lifecycle stage."""
     from repro import obs
     from repro.obs import runtime as obs_runtime
-    from repro.workloads.stream import bind_ledger
 
     obs.configure(ledger=True)
     handle = install_checker(RaceChecker)
@@ -268,7 +267,8 @@ def test_mq_repair_rig_racecheck_and_ledger_green():
                 sock.conn.attach_source(
                     InfiniteSource(materialize=True, seed=11 + j, limit_bytes=60_000)
                 )
-            bind_ledger(o, 0.02, {5001: "stream"})
+            o.ledger.port_class[5001] = "stream"
+            o.ledger.set_phases([("warmup", 0.0), ("measure", 0.02)])
             sim.run(until=10.0)
 
         for j, sock in enumerate(sorted(machine.kernel.sockets.values(),

@@ -14,6 +14,7 @@ Three claims are under test (DESIGN.md §8):
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.obs import (
 from repro.obs.sampler import check_dashboard_text
 from repro.obs.trace import cpu_tid
 from repro.sim.engine import Simulator
-from repro.workloads.stream import build_stream_rig, run_stream_experiment
+from repro.workloads.stream import build_stream_rig, observed_run, run_stream_experiment
 
 from tests.conftest import assert_rows_match_pin
 
@@ -465,14 +466,10 @@ def test_trace_and_metrics_deterministic_across_seeded_runs():
     docs = []
     for _ in range(2):
         obs.configure(trace=True, metrics=True, sample_interval=0.005)
-        with obs.observe("det") as o:
-            sim, machine, _clients, senders = build_stream_rig(
-                linux_up_config(), OptimizationConfig.optimized()
-            )
-            from repro.workloads.stream import bind_observation
-
-            bind_observation(o, sim, machine, senders, horizon=0.1)
-            sim.run(until=0.1)
+        build = partial(build_stream_rig, linux_up_config(), OptimizationConfig.optimized())
+        with observed_run("det", build, 0.05, 0.1, {5001: "stream"}) as rig:
+            rig.sim.run(until=0.1)
+        o = rig.obs
         docs.append(
             json.dumps(
                 {"obs": o.to_json(), "chrome": o.tracer.to_chrome_trace("det")},

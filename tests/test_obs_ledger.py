@@ -21,6 +21,7 @@ Four claims are under test (DESIGN.md §11):
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
@@ -32,9 +33,9 @@ from repro.host.configs import linux_smp_config, linux_up_config, xen_config
 from repro.obs import runtime as obs_runtime
 from repro.obs.diff import diff_ledgers, marginal
 from repro.obs.flame import check_flame_text, collapsed_text
-from repro.obs.ledger import SCHEMA, UNIT_SCALE, UNIT_SCALE_F, check_ledger_document
+from repro.obs.ledger import SCHEMA, UNIT_SCALE, check_ledger_document
 from repro.sim.engine import install_checker, uninstall_checker
-from repro.workloads.stream import bind_ledger, build_stream_rig, run_stream_experiment
+from repro.workloads.stream import build_stream_rig, observed_run, run_stream_experiment
 
 from tests.conftest import assert_rows_match_pin
 
@@ -47,15 +48,21 @@ def _obs_reset():
     obs.reset()
 
 
+def _ledgered_stream(label, until=0.05, **rig_options):
+    """Run a stream rig to ``until`` inside a ledger-enabled observed run,
+    measuring from ``until / 2``; returns the rig."""
+    obs.configure(ledger=True)
+    build = partial(build_stream_rig, **rig_options)
+    with observed_run(label, build, until / 2, until, {5001: "stream"}) as rig:
+        rig.sim.run(until=until)
+    return rig
+
+
 def _run_rig_with_ledger(config, opt, until=0.05):
     """Build + run a stream rig inside a ledger-enabled observation; return
     (ledger, machine)."""
-    obs.configure(ledger=True)
-    with obs_runtime.observe("recon") as o:
-        sim, machine, _clients, _senders = build_stream_rig(config, opt)
-        bind_ledger(o, until / 2, {5001: "stream"})
-        sim.run(until=until)
-    return o.ledger, machine
+    rig = _ledgered_stream("recon", until, config=config, opt=opt)
+    return rig.obs.ledger, rig.machine
 
 
 # ----------------------------------------------------------------------
@@ -88,16 +95,12 @@ def test_ledger_reconciles_exactly_on_every_machine_type(config_fn, opt):
 
 
 def test_ledger_reconciles_on_mq4_rig():
-    obs.configure(ledger=True)
-    with obs_runtime.observe("mq4") as o:
-        sim, machine, _clients, _senders = build_stream_rig(
-            linux_smp_config(), OptimizationConfig.optimized(), queues=4
-        )
-        bind_ledger(o, 0.025, {5001: "stream"})
-        sim.run(until=0.05)
-    cpus = machine.cpus
+    rig = _ledgered_stream(
+        "mq4", config=linux_smp_config(), opt=OptimizationConfig.optimized(), queues=4
+    )
+    cpus = rig.machine.cpus
     assert len(cpus) == 4
-    assert o.ledger.verify(cpus) == []
+    assert rig.obs.ledger.verify(cpus) == []
 
 
 def test_sanitizer_audits_figure7_and_zcrx_and_many_under_ledger():
@@ -115,8 +118,7 @@ def test_sanitizer_audits_figure7_and_zcrx_and_many_under_ledger():
                 run_stream_experiment(
                     config_fn(), opt, duration=0.02, warmup=0.02
                 )
-        with obs_runtime.observe("zcrx"):
-            measure_mode("up", 16 << 20, 1, True, 0.02, 0.02)
+        measure_mode("up", 16 << 20, 1, True, 0.02, 0.02)
         run_many_connection_experiment(
             linux_up_config(),
             OptimizationConfig.optimized(),
@@ -185,6 +187,60 @@ def test_figure12_rows_bit_identical_with_ledger_on():
     assert any(o.ledger is not None for o in done)
 
 
+class _SimulatorCount:
+    """A checker that checks nothing: its install's ``observers`` count the
+    simulators built while it is installed."""
+
+    def __init__(self, sim):
+        pass
+
+    def watch_machine(self, machine):
+        pass
+
+
+def test_every_rig_is_built_inside_one_observation():
+    """Every rig of the experiments that build their own (request/response,
+    paced, bidirectional, TSO) and of the two custom measurement loops
+    (resilience recovery bins, zero-copy modes) is built inside one
+    observation: one completed observation per simulator, each with
+    ledger cells, and rows unchanged by the ledger."""
+    from repro.experiments import extension_resilience, extension_zero_copy
+
+    resilience_point = (
+        "reorder_storm", 0.3, True, extension_resilience.QUICK_RECOVERY_HORIZON,
+    )
+    zero_copy_point = ("up", 16 << 20, 1, True, 0.05, 0.05)
+    plain = [
+        extension_resilience._measure_point(resilience_point),
+        extension_zero_copy._measure_point(zero_copy_point),
+    ]
+    install = install_checker(_SimulatorCount)
+    obs.configure(ledger=True)
+    try:
+        for experiment_id in (
+            "table1", "extension_itr", "extension_bidirectional",
+            "extension_load_sensitivity", "extension_tso",
+        ):
+            built = len(install.observers)
+            result = run_experiment(experiment_id, quick=True, observed=True)
+            done = obs.drain_completed()
+            assert len(done) == len(install.observers) - built > 0, experiment_id
+            assert all(o.ledger.cells for o in done), experiment_id
+            assert_rows_match_pin(experiment_id, result, "the cycle ledger")
+        built = len(install.observers)
+        ledgered = [
+            extension_resilience._measure_point(resilience_point),
+            extension_zero_copy._measure_point(zero_copy_point),
+        ]
+        done = obs.drain_completed()
+        assert len(done) == len(install.observers) - built == len(extension_resilience.MODES) + 1
+        assert all(o.ledger.cells for o in done)
+        assert ledgered == plain
+    finally:
+        obs.reset()
+        uninstall_checker(_SimulatorCount)
+
+
 def test_stream_measured_fields_identical_with_ledger_on():
     def point():
         return run_stream_experiment(
@@ -207,11 +263,6 @@ def test_stream_measured_fields_identical_with_ledger_on():
         assert getattr(plain, name) == getattr(ledgered, name), name
 
 
-def test_runner_rejects_ledger_on_unsupported_experiment():
-    with pytest.raises(ValueError, match="outside an observation"):
-        run_experiment("table1", quick=True, observed=True)
-
-
 # ----------------------------------------------------------------------
 # 3. exact differential profiling
 # ----------------------------------------------------------------------
@@ -232,20 +283,14 @@ def test_self_diff_is_empty():
 def test_diff_reconciles_and_signs_match_profiler():
     """Optimized-vs-baseline per-category deltas: the diff's sign for every
     category must agree with the profiler totals the rigs measured."""
-    obs.configure(ledger=True)
-    with obs_runtime.observe("base") as ob:
-        sim, machine_b, _c, _s = build_stream_rig(
-            linux_up_config(), OptimizationConfig.baseline()
-        )
-        bind_ledger(ob, 0.025, {5001: "stream"})
-        sim.run(until=0.05)
-    with obs_runtime.observe("opt") as oo:
-        sim, machine_o, _c, _s = build_stream_rig(
-            linux_up_config(), OptimizationConfig.optimized()
-        )
-        bind_ledger(oo, 0.025, {5001: "stream"})
-        sim.run(until=0.05)
-    a, b = ob.ledger.to_json(), oo.ledger.to_json()
+    base = _ledgered_stream(
+        "base", config=linux_up_config(), opt=OptimizationConfig.baseline()
+    )
+    opt = _ledgered_stream(
+        "opt", config=linux_up_config(), opt=OptimizationConfig.optimized()
+    )
+    machine_b, machine_o = base.machine, opt.machine
+    a, b = base.obs.ledger.to_json(), opt.obs.ledger.to_json()
     diff = diff_ledgers(a, b)
     assert diff.problems == []
     assert not diff.is_empty()

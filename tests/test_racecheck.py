@@ -96,16 +96,6 @@ class TestAfterEventHooks:
         sim.run()
         assert calls == ["a"]
 
-    def test_clear_removes_everything(self):
-        sim = Simulator()
-        calls = []
-        sim.push_after_event_hook(lambda: calls.append("a"))
-        sim.clear_after_event_hook()
-        sim.post(0.0, lambda: None)
-        sim.run()
-        assert calls == []
-        assert sim._after_event is None  # fast path restored
-
 
 # ----------------------------------------------------------------------
 # unit: reconciliation semantics

@@ -11,8 +11,6 @@ from repro.tcp.seqmath import (
     seq_gt,
     seq_le,
     seq_lt,
-    seq_max,
-    seq_min,
 )
 
 seqs = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -43,11 +41,6 @@ def test_diff_signs():
 def test_between_across_wrap():
     assert seq_between(5, 0xFFFFFFF0, 0x10)
     assert not seq_between(0x20, 0xFFFFFFF0, 0x10)
-
-
-def test_min_max():
-    assert seq_max(0xFFFFFFF0, 5) == 5  # 5 is "after" near-top
-    assert seq_min(0xFFFFFFF0, 5) == 0xFFFFFFF0
 
 
 @given(seqs, small)

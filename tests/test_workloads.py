@@ -1,13 +1,10 @@
 """Workload harness tests: measurement accounting and result sanity."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.config import OptimizationConfig
-from repro.host.configs import linux_up_config
 from repro.workloads.request_response import run_rr_experiment
-from repro.workloads.results import LatencyResult, ThroughputResult
+from repro.workloads.results import LatencyResult
 from repro.workloads.stream import build_stream_rig, run_stream_experiment
 
 from tests.conftest import fast_config
@@ -76,11 +73,20 @@ def test_rr_latency_result_sane():
 
 
 def test_rr_request_response_sizes_respected():
+    """A transaction ends when the whole response has arrived: a response
+    larger than one MSS takes several segments, so the link rate bounds
+    both how many transactions fit the window and how short one can be."""
+    config = fast_config()
+    response_size = 4096
     r = run_rr_experiment(
-        fast_config(), OptimizationConfig.baseline(),
-        duration=0.1, warmup=0.05, request_size=128, response_size=1024,
+        config, OptimizationConfig.baseline(),
+        duration=0.1, warmup=0.05, request_size=128, response_size=response_size,
     )
+    assert response_size > config.mss
     assert r.transactions > 50
+    wire_s = response_size * 8 / config.nic_rate_bps
+    assert r.transactions * wire_s <= r.duration_s
+    assert r.mean_rtt_s >= wire_s
 
 
 def test_zero_duration_latency_rate():
