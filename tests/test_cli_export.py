@@ -3,6 +3,7 @@
 import csv
 import functools
 import io
+import json
 import os
 
 import pytest
@@ -198,6 +199,40 @@ def test_cli_rejected_run_turns_observation_back_off(tmp_path, capsys, monkeypat
     finally:
         obs.reset()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_obs_dir_observes_every_rig_of_table1(tmp_path, capsys, monkeypatch):
+    """table1 builds its six request/response rigs itself: --obs-dir exports
+    one observation per rig, the directory validates, and the rows equal
+    their pin with every collector on."""
+    import repro.cli as cli
+    from repro import obs
+    from repro.experiments.runner import run_experiment
+    from repro.obs.__main__ import main as obs_main
+
+    from tests.conftest import assert_rows_match_pin
+
+    results = []
+
+    def run(*args, **kwargs):
+        results.append(run_experiment(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    obs_dir = tmp_path / "obs"
+    try:
+        assert main(["run", "table1", "--quick", "--obs-dir", str(obs_dir)]) == 0
+    finally:
+        obs.reset()
+    assert_rows_match_pin("table1", results[0], "--obs-dir")
+    runs = json.loads((obs_dir / "observations.json").read_text())["runs"]
+    assert [entry["label"] for entry in runs] == [
+        f"{system}/{mode}/rr"
+        for system in ("Linux UP", "Linux SMP", "Xen") for mode in ("base", "opt")
+    ]
+    capsys.readouterr()
+    assert obs_main(["check", *sorted(str(p) for p in obs_dir.iterdir())]) == 0
+    assert ": observation-bundle: ok" in capsys.readouterr().out
 
 
 def _observer_names() -> list:

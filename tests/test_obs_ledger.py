@@ -198,44 +198,47 @@ class _SimulatorCount:
         pass
 
 
-def test_every_rig_is_built_inside_one_observation():
-    """Every rig of the experiments that build their own (request/response,
-    paced, bidirectional, TSO) and of the two custom measurement loops
-    (resilience recovery bins, zero-copy modes) is built inside one
-    observation: one completed observation per simulator, each with
-    ledger cells, and rows unchanged by the ledger."""
+def _one_point(experiment_id):
+    """(point function, point, rigs it builds) of the one sweep point run of
+    an experiment with its own measurement loop."""
     from repro.experiments import extension_resilience, extension_zero_copy
 
-    resilience_point = (
-        "reorder_storm", 0.3, True, extension_resilience.QUICK_RECOVERY_HORIZON,
-    )
-    zero_copy_point = ("up", 16 << 20, 1, True, 0.05, 0.05)
-    plain = [
-        extension_resilience._measure_point(resilience_point),
-        extension_zero_copy._measure_point(zero_copy_point),
-    ]
+    if experiment_id == "extension_resilience":
+        point = ("reorder_storm", 0.3, True, extension_resilience.QUICK_RECOVERY_HORIZON)
+        return extension_resilience._measure_point, point, len(extension_resilience.MODES)
+    return extension_zero_copy._measure_point, ("up", 16 << 20, 1, True, 0.05, 0.05), 1
+
+
+@pytest.mark.parametrize("experiment_id", [
+    "table1", "extension_itr", "extension_bidirectional",
+    "extension_load_sensitivity", "extension_tso",
+    "extension_resilience", "extension_zero_copy",
+])
+def test_every_rig_is_built_inside_one_observation(experiment_id):
+    """Every rig of the experiments that build their own (request/response,
+    paced, bidirectional, TSO) and of the two custom measurement loops
+    (resilience recovery bins, zero-copy modes, one point each) is built
+    inside one observation: one completed observation per simulator, each
+    with ledger cells, and rows unchanged by the ledger."""
+    sweep_point = experiment_id in ("extension_resilience", "extension_zero_copy")
+    if sweep_point:
+        measure_point, point, rigs = _one_point(experiment_id)
+        plain = measure_point(point)
     install = install_checker(_SimulatorCount)
     obs.configure(ledger=True)
     try:
-        for experiment_id in (
-            "table1", "extension_itr", "extension_bidirectional",
-            "extension_load_sensitivity", "extension_tso",
-        ):
-            built = len(install.observers)
+        if sweep_point:
+            ledgered = measure_point(point)
+        else:
             result = run_experiment(experiment_id, quick=True, observed=True)
-            done = obs.drain_completed()
-            assert len(done) == len(install.observers) - built > 0, experiment_id
-            assert all(o.ledger.cells for o in done), experiment_id
-            assert_rows_match_pin(experiment_id, result, "the cycle ledger")
-        built = len(install.observers)
-        ledgered = [
-            extension_resilience._measure_point(resilience_point),
-            extension_zero_copy._measure_point(zero_copy_point),
-        ]
         done = obs.drain_completed()
-        assert len(done) == len(install.observers) - built == len(extension_resilience.MODES) + 1
+        assert len(done) == len(install.observers) > 0
         assert all(o.ledger.cells for o in done)
-        assert ledgered == plain
+        if sweep_point:
+            assert len(done) == rigs
+            assert ledgered == plain
+        else:
+            assert_rows_match_pin(experiment_id, result, "the cycle ledger")
     finally:
         obs.reset()
         uninstall_checker(_SimulatorCount)
